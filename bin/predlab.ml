@@ -5,16 +5,14 @@
    cost, run seeded chaos campaigns, and diff two machine-readable reports
    as a regression gate.
 
-   Exit codes (the documented taxonomy; see HACKING.md):
-     0  success
-     1  every experiment completed, but some reproduction check failed
-     2  usage/input error (unknown id, malformed file or --inject spec)
-     3  supervision failure: >= 1 experiment crashed or timed out (for
-        `query`, also a --timeout overrun against a wedged daemon)
-     4  chaos: the supervisor or the serve plane degraded ungracefully
-     5  overloaded: the serve daemon shed the connection (backpressure) *)
+   The run/sample/lint/certify/compare documents and every exit class
+   come from Serve.Command, shared with the serve daemon; its interface
+   (lib/serve/command.mli) documents the exit taxonomy 0-5. This file
+   only parses argv and renders text. *)
 
 type format = Text | Json
+
+let ( let* ) = Result.bind
 
 let list_experiments () =
   List.iter
@@ -38,10 +36,6 @@ let apply_injections specs =
   in
   if sites <> [] then Prelude.Faults.arm sites
 
-let supervision_of ~deadline ~retries =
-  { Predictability.Experiments.default_supervision with
-    deadline_s = deadline; retries }
-
 (* Final reports are written via a temporary file, a rename and a parent-
    directory fsync (Journal.write_atomic), so a crash mid-write can never
    leave a half-document where a previous good report used to be — and a
@@ -61,7 +55,7 @@ let render_supervised_text results =
             (Predictability.Report.timing_string
                s.Predictability.Experiments.s_timing)))
     results;
-  buf
+  Buffer.contents buf
 
 let supervised_summary jobs results =
   let failures = Predictability.Experiments.supervised_failures results in
@@ -91,58 +85,42 @@ let supervised_summary jobs results =
      in
      if extras = [] then "" else "; " ^ String.concat "; " extras)
 
-let exit_supervised results =
-  if Predictability.Experiments.supervised_failures results <> [] then exit 3
-  else if Predictability.Experiments.supervised_check_failures results <> []
-  then exit 1
+(* Print a command's outcome — the result document under --format json,
+   [text rows] otherwise, a rejection on stderr — and exit with the class
+   the daemon's reply to the same request would carry. *)
+let finish ?out ~op ~format ~text outcome =
+  (match outcome with
+   | Error message -> Printf.eprintf "predlab: %s\n" message
+   | Ok (rows, doc) ->
+     emit ~out
+       (match format with
+        | Json -> Serve.Command.render ~op doc
+        | Text -> text rows));
+  exit (Serve.Command.exit_class (Serve.Command.reply ~op outcome))
 
 (* Shared driver of `run` and `all`: supervised execution, text/json
    rendering, optional journal/resume and atomic --out. *)
-let run_supervised_cli ~jobs ~format ~deadline ~retries ~inject ~journal
-    ~resume ~out ~entries =
+let run_supervised_cli ~jobs ~format ~deadline ~retries ~inject ?journal
+    ?(resume = false) ?out ids =
   apply_jobs jobs;
   apply_injections inject;
   if resume && journal = None then begin
     Printf.eprintf "predlab: --resume requires --journal FILE\n";
     exit 2
   end;
-  let supervision = supervision_of ~deadline ~retries in
-  match
-    Predictability.Harness.elapsed (fun () ->
-        Predictability.Experiments.run_supervised ~jobs ~supervision
-          ?journal ~resume ~entries ())
-  with
-  | exception Invalid_argument message ->
-    Printf.eprintf "predlab: %s\n" message;
-    exit 2
-  | exception Sys_error message ->
-    Printf.eprintf "predlab: %s\n" message;
-    exit 2
-  | results, elapsed_s ->
-    (match format with
-     | Text ->
-       let buf = render_supervised_text results in
-       Buffer.add_string buf (supervised_summary jobs results);
-       emit ~out (Buffer.contents buf)
-     | Json ->
-       emit ~out
-         (Prelude.Json.to_string_pretty
-            (Predictability.Experiments.supervised_to_json ~jobs ~elapsed_s
-               results)));
-    exit_supervised results
+  let text results =
+    render_supervised_text results ^ supervised_summary jobs results
+  in
+  finish ?out ~op:"run" ~format ~text
+    (Serve.Command.run ~jobs ?deadline_s:deadline ~retries ?journal ~resume
+       ids)
 
 let run_one jobs format deadline retries inject id =
-  match Predictability.Experiments.lookup id with
-  | Error message ->
-    Printf.eprintf "%s\n" message;
-    exit 2
-  | Ok entry ->
-    run_supervised_cli ~jobs ~format ~deadline ~retries ~inject
-      ~journal:None ~resume:false ~out:None ~entries:[ entry ]
+  run_supervised_cli ~jobs ~format ~deadline ~retries ~inject [ id ]
 
 let run_all jobs format deadline retries inject journal resume out =
-  run_supervised_cli ~jobs ~format ~deadline ~retries ~inject ~journal
-    ~resume ~out ~entries:Predictability.Experiments.all
+  run_supervised_cli ~jobs ~format ~deadline ~retries ~inject ?journal
+    ~resume ?out []
 
 let chaos jobs format plane seed =
   apply_jobs jobs;
@@ -168,103 +146,81 @@ let chaos jobs format plane seed =
 
 (* `stats` keeps the plain unsupervised path (schema v1): it is the cost
    summary and the ci.sh baseline-compare input, and doubles as coverage
-   that v1 documents stay first-class citizens of the report toolchain. *)
-let print_json_report ~jobs ~elapsed_s results =
-  print_string
-    (Prelude.Json.to_string_pretty
-       (Predictability.Experiments.to_json ~jobs ~elapsed_s results))
-
-let exit_on_failures results =
-  let failed =
-    List.filter
-      (fun r ->
-         not (Predictability.Report.all_passed
-                r.Predictability.Experiments.outcome))
-      results
-  in
-  if failed <> [] then exit 1
-
+   that v1 documents stay first-class citizens of the report toolchain.
+   The v1 report carries the run verdict fields, so it exits like `run`. *)
 let stats jobs format =
   apply_jobs jobs;
   let results, elapsed_s =
     Predictability.Harness.elapsed (fun () ->
         Predictability.Experiments.run_all ~jobs ())
   in
-  (match format with
-   | Json -> print_json_report ~jobs ~elapsed_s results
-   | Text ->
-     let table =
-       Prelude.Table.make
-         ~header:[ "experiment"; "wall s"; "Q*I cells"; "kernel evals";
-                   "checks" ]
-     in
-     let total_cells = ref 0 and total_evals = ref 0 in
-     List.iter
-       (fun { Predictability.Experiments.outcome; timing } ->
-          total_cells := !total_cells + timing.Predictability.Report.cells;
-          total_evals := !total_evals + timing.Predictability.Report.evals;
-          let checks = outcome.Predictability.Report.checks in
-          let passed =
-            List.length
-              (List.filter (fun c -> c.Predictability.Report.passed) checks)
-          in
-          Prelude.Table.add_row table
-            [ outcome.Predictability.Report.id;
-              Printf.sprintf "%.3f" timing.Predictability.Report.wall_s;
-              string_of_int timing.Predictability.Report.cells;
-              string_of_int timing.Predictability.Report.evals;
-              Printf.sprintf "%d/%d" passed (List.length checks) ])
-       results;
-     let wall_sum = Predictability.Experiments.wall_sum results in
-     Prelude.Table.add_separator table;
-     (* Two totals on purpose: per-experiment walls overlap under jobs>1, so
-        their sum is CPU-time-flavoured; elapsed is the true wall clock. *)
-     Prelude.Table.add_row table
-       [ "sum"; Printf.sprintf "%.3f" wall_sum; string_of_int !total_cells;
-         string_of_int !total_evals; "" ];
-     Prelude.Table.add_row table
-       [ "elapsed"; Printf.sprintf "%.3f" elapsed_s; ""; ""; "" ];
-     print_string (Prelude.Table.render table);
-     Printf.printf
-       "sum = per-experiment wall added up (runs overlap under jobs>1); \
-        elapsed = true wall clock\n";
-     Printf.printf "jobs=%d (recommended on this machine: %d)\n" jobs
-       (Prelude.Parallel.recommended_jobs ()));
-  exit_on_failures results
+  let text results =
+    let table =
+      Prelude.Table.make
+        ~header:[ "experiment"; "wall s"; "Q*I cells"; "kernel evals";
+                  "checks" ]
+    in
+    let total_cells = ref 0 and total_evals = ref 0 in
+    List.iter
+      (fun { Predictability.Experiments.outcome; timing } ->
+         total_cells := !total_cells + timing.Predictability.Report.cells;
+         total_evals := !total_evals + timing.Predictability.Report.evals;
+         let checks = outcome.Predictability.Report.checks in
+         let passed =
+           List.length
+             (List.filter (fun c -> c.Predictability.Report.passed) checks)
+         in
+         Prelude.Table.add_row table
+           [ outcome.Predictability.Report.id;
+             Printf.sprintf "%.3f" timing.Predictability.Report.wall_s;
+             string_of_int timing.Predictability.Report.cells;
+             string_of_int timing.Predictability.Report.evals;
+             Printf.sprintf "%d/%d" passed (List.length checks) ])
+      results;
+    let wall_sum = Predictability.Experiments.wall_sum results in
+    Prelude.Table.add_separator table;
+    (* Two totals on purpose: per-experiment walls overlap under jobs>1, so
+       their sum is CPU-time-flavoured; elapsed is the true wall clock. *)
+    Prelude.Table.add_row table
+      [ "sum"; Printf.sprintf "%.3f" wall_sum; string_of_int !total_cells;
+        string_of_int !total_evals; "" ];
+    Prelude.Table.add_row table
+      [ "elapsed"; Printf.sprintf "%.3f" elapsed_s; ""; ""; "" ];
+    Prelude.Table.render table
+    ^ "sum = per-experiment wall added up (runs overlap under jobs>1); \
+       elapsed = true wall clock\n"
+    ^ Printf.sprintf "jobs=%d (recommended on this machine: %d)\n" jobs
+      (Prelude.Parallel.recommended_jobs ())
+  in
+  finish ~op:"run" ~format ~text
+    (Ok (results,
+         Predictability.Experiments.to_json ~jobs ~elapsed_s results))
 
-let read_json_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error message ->
-    Printf.eprintf "predlab compare: %s\n" message;
-    exit 2
+let load_json_doc path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error message -> Error message
   | contents -> (
       match Prelude.Json.parse contents with
-      | Ok json -> json
-      | Error message ->
-        Printf.eprintf "predlab compare: %s: %s\n" path message;
-        exit 2)
+      | Ok json -> Ok json
+      | Error message -> Error (Printf.sprintf "%s: %s" path message))
 
 let compare_reports tolerance baseline_path current_path =
-  let baseline = read_json_file baseline_path in
-  let current = read_json_file current_path in
-  match
-    Predictability.Regression.compare_reports ~tolerance_pct:tolerance
-      ~baseline ~current ()
-  with
-  | exception Invalid_argument message ->
-    Printf.eprintf "predlab compare: %s\n" message;
-    exit 2
-  | [] ->
-    Printf.printf "OK: %s is no worse than %s (tolerance %.0f%%)\n"
-      current_path baseline_path tolerance
-  | findings ->
-    List.iter
-      (fun f ->
-         Printf.printf "%s\n" (Predictability.Regression.finding_string f))
-      findings;
-    Printf.printf "%d regression finding(s) comparing %s against %s\n"
-      (List.length findings) current_path baseline_path;
-    exit 1
+  let text = function
+    | [] ->
+      Printf.sprintf "OK: %s is no worse than %s (tolerance %.0f%%)\n"
+        current_path baseline_path tolerance
+    | findings ->
+      String.concat ""
+        (List.map
+           (fun f -> Predictability.Regression.finding_string f ^ "\n")
+           findings)
+      ^ Printf.sprintf "%d regression finding(s) comparing %s against %s\n"
+        (List.length findings) current_path baseline_path
+  in
+  finish ~op:"compare" ~format:Text ~text
+    (let* baseline = load_json_doc baseline_path in
+     let* current = load_json_doc current_path in
+     Serve.Command.compare ~tolerance ~baseline ~current ())
 
 let list_workloads () =
   List.iter
@@ -276,12 +232,12 @@ let list_workloads () =
     Isa.Workload.registry
 
 let show_program name =
-  match List.assoc_opt name Isa.Workload.registry with
-  | None ->
-    Printf.eprintf "unknown workload %S; try `predlab workloads`\n" name;
+  match Serve.Command.select [ name ] with
+  | Error message ->
+    Printf.eprintf "predlab: %s\n" message;
     exit 2
-  | Some make ->
-    let w = make () in
+  | Ok selected ->
+    let w = List.assoc name selected () in
     let program, _ = Isa.Workload.program w in
     Printf.printf "; %s — %s\n" w.Isa.Workload.name w.Isa.Workload.description;
     Format.printf "%a@." Isa.Program.pp program;
@@ -289,114 +245,41 @@ let show_program name =
       (Isa.Program.length program)
       (List.length w.Isa.Workload.inputs)
 
-(* Target selection shared by lint and certify: positional names (default
-   the whole registry), then the bench-style `--only SUBSTR` filter. *)
-let select_workloads ~command ~only names =
-  let selected =
-    match names with
-    | [] -> Isa.Workload.registry
-    | names ->
-      List.map
-        (fun name ->
-           match List.assoc_opt name Isa.Workload.registry with
-           | Some make -> (name, make)
-           | None ->
-             Printf.eprintf "unknown workload %S; try `predlab workloads`\n"
-               name;
-             exit 2)
-        names
-  in
-  match only with
-  | None -> selected
-  | Some substr -> (
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec at i =
-          i + nn <= nh && (String.sub hay i nn = needle || at (i + 1))
-        in
-        nn = 0 || at 0
-      in
-      match List.filter (fun (name, _) -> contains name substr) selected with
-      | [] ->
-        Printf.eprintf "predlab %s: --only %s matches no workload\n" command
-          substr;
-        exit 2
-      | matching -> matching)
-
 (* `predlab lint`: run the dataflow linter over workloads (default: the
    whole registry) or one of the pinned fixtures. Exit 1 iff any
    error-severity finding is reported — the ci.sh gate. *)
 let lint format only fixture names =
-  let targets =
-    match fixture with
-    | Some `Clean ->
-      let program, shapes = Dataflow.Fixtures.clean () in
-      [ ("fixture:clean",
-         Dataflow.Lint.check_program program @ Dataflow.Lint.check_shapes shapes) ]
-    | Some `Dirty ->
-      [ ("fixture:dirty", Dataflow.Lint.check_program (Dataflow.Fixtures.dirty ())) ]
-    | None ->
-      List.map
-        (fun (name, make) -> (name, Dataflow.Lint.check_workload (make ())))
-        (select_workloads ~command:"lint" ~only names)
+  let text targets =
+    String.concat ""
+      (List.map
+         (fun (name, findings) ->
+            Printf.sprintf "%s: %d error(s), %d warning(s)\n" name
+              (Dataflow.Lint.errors findings)
+              (Dataflow.Lint.warnings findings)
+            ^ Dataflow.Lint.render findings)
+         targets)
+    ^ Printf.sprintf "%d target(s), %d error finding(s)\n"
+      (List.length targets)
+      (List.fold_left
+         (fun acc (_, fs) -> acc + Dataflow.Lint.errors fs)
+         0 targets)
   in
-  let total_errors =
-    List.fold_left (fun acc (_, fs) -> acc + Dataflow.Lint.errors fs) 0 targets
-  in
-  (match format with
-   | Json ->
-     print_endline
-       (Prelude.Json.to_string_pretty (Dataflow.Lint.report_to_json targets))
-   | Text ->
-     List.iter
-       (fun (name, findings) ->
-          Printf.printf "%s: %d error(s), %d warning(s)\n" name
-            (Dataflow.Lint.errors findings)
-            (Dataflow.Lint.warnings findings);
-          print_string (Dataflow.Lint.render findings))
-       targets;
-     Printf.printf "%d target(s), %d error finding(s)\n" (List.length targets)
-       total_errors);
-  if total_errors > 0 then exit 1
+  finish ~op:"lint" ~format ~text (Serve.Command.lint ?fixture ?only names)
 
 (* `predlab certify`: static predictability certificates over the
-   standard machine pair (Certifier). The JSON document is built by the
-   same constructor the serve daemon's certify op uses, so `predlab
-   query certify` matches byte-for-byte. Exit 1 iff any declared
+   standard machine pair (Certifier). Exit 1 iff any declared
    expectation (--require-invariant, or a fixture's built-in one) is
    contradicted by the flat-machine verdict — the leaky-fixture gate in
    ci.sh. *)
 let certify format only fixture require_invariant names =
-  let rows =
-    match fixture with
-    | Some fixture ->
-      (* Both pinned fixtures declare the constant-time expectation:
-         leakfree holds it, leaky was written to contradict it. *)
-      let w =
-        match fixture with
-        | `Leakfree -> Dataflow.Fixtures.leakfree ()
-        | `Leaky -> Dataflow.Fixtures.leaky ()
-      in
-      [ Predictability.Certifier.row ~expect:Analysis.Certify.Invariant w ]
-    | None ->
-      let expect =
-        if require_invariant then Some Analysis.Certify.Invariant else None
-      in
-      List.map
-        (fun (_, make) -> Predictability.Certifier.row ?expect (make ()))
-        (select_workloads ~command:"certify" ~only names)
+  let text rows =
+    Predictability.Certifier.render rows
+    ^ Printf.sprintf "%d target(s), %d contradicted expectation(s)\n"
+      (List.length rows)
+      (Predictability.Certifier.contradictions rows)
   in
-  let contradictions = Predictability.Certifier.contradictions rows in
-  (match format with
-   | Json ->
-     print_endline
-       (Prelude.Json.to_string_pretty
-          (Predictability.Certifier.report_to_json rows))
-   | Text ->
-     print_string (Predictability.Certifier.render rows);
-     Printf.printf "%d target(s), %d contradicted expectation(s)\n"
-       (List.length rows) contradictions);
-  if contradictions > 0 then exit 1
+  finish ~op:"certify" ~format ~text
+    (Serve.Command.certify ?fixture ~require_invariant ?only names)
 
 (* `predlab sample`: seeded sampling estimators (Pr/SIPr/IIPr, mean,
    BCET/WCET tails, each with a CI) over workloads — the scale-past-
@@ -405,55 +288,18 @@ let certify format only fixture require_invariant names =
    signals any value outside its CI. *)
 let sample jobs format seed samples confidence check names =
   apply_jobs jobs;
-  let spec =
-    { Sampling.Sampler.default with seed; n_cells = samples; confidence }
+  let text rows =
+    String.concat "" (List.map Predictability.Sampled.render rows)
+    ^
+    if check then
+      Printf.sprintf "%d/%d workloads with every exhaustive value inside \
+                      its CI\n"
+        (List.length (List.filter Predictability.Sampled.all_contained rows))
+        (List.length rows)
+    else ""
   in
-  let selected =
-    match names with
-    | [] -> Isa.Workload.registry
-    | names ->
-      List.map
-        (fun name ->
-           match List.assoc_opt name Isa.Workload.registry with
-           | Some make -> (name, make)
-           | None ->
-             Printf.eprintf "unknown workload %S; try `predlab workloads`\n"
-               name;
-             exit 2)
-        names
-  in
-  let rows =
-    match
-      List.map
-        (fun entry ->
-           Predictability.Sampled.analyze ~jobs ~spec ~cross_check:check entry)
-        selected
-    with
-    | exception Invalid_argument message ->
-      Printf.eprintf "predlab sample: %s\n" message;
-      exit 2
-    | rows -> rows
-  in
-  (match format with
-   | Json ->
-     print_endline
-       (Prelude.Json.to_string_pretty
-          (Predictability.Sampled.report_to_json ~jobs rows))
-   | Text ->
-     List.iter (fun row -> print_string (Predictability.Sampled.render row))
-       rows;
-     if check then
-       let outside =
-         List.filter (fun r -> not (Predictability.Sampled.all_contained r))
-           rows
-       in
-       Printf.printf "%d/%d workloads with every exhaustive value inside its CI\n"
-         (List.length rows - List.length outside)
-         (List.length rows));
-  if check
-     && List.exists (fun r -> not (Predictability.Sampled.all_contained r))
-          rows
-  then exit 1
+  finish ~op:"sample" ~format ~text
+    (Serve.Command.sample ~jobs ~check ~seed ~samples ~confidence names)
 
 (* `predlab serve`: the resident evaluation daemon (lib/serve). Blocks
    until a shutdown request or SIGTERM/SIGINT arrives (graceful drain
@@ -487,25 +333,16 @@ let serve socket jobs deadline cache_bound conns queue idle drain max_frame =
     exit 2
 
 (* `predlab query`: one request-response round trip against a running
-   daemon. The result document of run/sample/lint/certify is printed with
-   exactly
-   the emitter call the one-shot CLI uses for that command, so the bytes
-   match; exits mirror the documented taxonomy (2 usage/connection, 3 on
-   a timed-out/crashed verdict, 1 on failed checks). *)
+   daemon. The result document is rendered, and the reply's exit class
+   taken, by the same Serve.Command functions the one-shot commands use,
+   so `query OP` and `OP --format json` print the same bytes and exit
+   alike. *)
 let query_usage =
   "usage: predlab query [flags] OP ...\n\
   \  eval WORKLOAD STATE INPUT | run ID | sample [WORKLOAD...]\n\
   \  | lint [WORKLOAD...] | certify [WORKLOAD...]\n\
   \  | compare BASELINE.json CURRENT.json\n\
   \  | stats | shutdown   (or --raw LINE)"
-
-let load_json_doc path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error message -> Error message
-  | contents -> (
-      match Prelude.Json.parse contents with
-      | Ok json -> Ok json
-      | Error message -> Error (Printf.sprintf "%s: %s" path message))
 
 let build_request ~retries ~seed ~samples ~confidence ~tolerance = function
   | [ "eval"; workload; state; input ] -> (
@@ -521,36 +358,14 @@ let build_request ~retries ~seed ~samples ~confidence ~tolerance = function
   | "lint" :: workloads -> Ok (Serve.Protocol.Lint { workloads })
   | "certify" :: workloads -> Ok (Serve.Protocol.Certify { workloads })
   | [ "compare"; baseline_path; current_path ] ->
-    Result.bind (load_json_doc baseline_path) (fun baseline ->
-        Result.bind (load_json_doc current_path) (fun current ->
-            Ok (Serve.Protocol.Compare { baseline; current; tolerance })))
+    let* baseline = load_json_doc baseline_path in
+    let* current = load_json_doc current_path in
+    Ok (Serve.Protocol.Compare { baseline; current; tolerance })
   | "compare" :: _ ->
     Error "usage: predlab query compare BASELINE.json CURRENT.json"
   | [ "stats" ] -> Ok Serve.Protocol.Stats
   | [ "shutdown" ] -> Ok Serve.Protocol.Shutdown
   | _ -> Error query_usage
-
-(* The one-shot CLI prints sample/lint/certify documents with
-   [print_endline] (trailing blank line) and run documents with
-   [print_string]; replicate per op so `query OP > a.json` and `predlab
-   OP --format json > b.json` compare byte-for-byte. *)
-let print_result ~op result =
-  let rendered = Prelude.Json.to_string_pretty result in
-  match op with
-  | "sample" | "lint" | "certify" -> print_endline rendered
-  | _ -> print_string rendered
-
-let run_exit_of result =
-  let count name =
-    Option.bind (Prelude.Json.member name result) Prelude.Json.int_value
-  in
-  match count "crashed", count "timed_out" with
-  | Some c, _ when c > 0 -> 3
-  | _, Some t when t > 0 -> 3
-  | _ -> (
-      match count "experiments_passed", count "experiments_total" with
-      | Some p, Some t when p < t -> 1
-      | _ -> 0)
 
 let query socket connect_timeout timeout deadline retries seed samples
     confidence tolerance raw args =
@@ -592,44 +407,20 @@ let query socket connect_timeout timeout deadline retries seed samples
      | Error error ->
        Printf.eprintf "predlab query: %s\n" (Serve.Client.error_message error);
        exit 2
-     | Ok response -> (
-         let member name = Prelude.Json.member name response in
-         match member "ok" with
-         | Some (Prelude.Json.Bool true) ->
-           let op =
-             match Option.bind (member "op") Prelude.Json.string_value with
-             | Some op -> op
-             | None -> ""
-           in
-           let result =
-             Option.value ~default:Prelude.Json.Null (member "result")
-           in
-           print_result ~op result;
-           if op = "run" then
-             (match run_exit_of result with 0 -> () | code -> exit code);
-           if
-             op = "compare"
-             && Prelude.Json.member "passed" result
-                = Some (Prelude.Json.Bool false)
-           then exit 1
-         | Some (Prelude.Json.Bool false) ->
-           let error_message =
-             match
-               Option.bind (member "error") Prelude.Json.string_value
-             with
-             | Some m -> m
-             | None -> "unknown error"
-           in
-           Printf.eprintf "predlab query: %s\n" error_message;
-           (match
-              Option.bind (member "status") Prelude.Json.string_value
-            with
-            | Some "timed_out" -> exit 3
-            | Some "overloaded" -> exit 5
-            | _ -> exit 1)
-         | _ ->
-           Printf.eprintf "predlab query: malformed response envelope\n";
-           exit 2))
+     | Ok response ->
+       let member name = Prelude.Json.member name response in
+       let text name = Option.bind (member name) Prelude.Json.string_value in
+       (match member "ok" with
+        | Some (Prelude.Json.Bool true) ->
+          print_string
+            (Serve.Command.render
+               ~op:(Option.value ~default:"" (text "op"))
+               (Option.value ~default:Prelude.Json.Null (member "result")))
+        | Some (Prelude.Json.Bool false) ->
+          Printf.eprintf "predlab query: %s\n"
+            (Option.value ~default:"unknown error" (text "error"))
+        | _ -> Printf.eprintf "predlab query: malformed response envelope\n");
+       exit (Serve.Command.exit_class response))
 
 let survey () =
   print_endline "Table 1: constructive approaches to predictability (part I)";
@@ -1171,8 +962,10 @@ let query_cmd =
              print the result document (for run/sample/lint/certify: the \
              same bytes the one-shot CLI prints under --format json). Exit \
              status mirrors the CLI: 0 ok, 1 failed checks, 2 \
-             usage/connection error, 3 timed-out or crashed (including a \
-             $(b,--timeout) overrun), 5 shed by an overloaded daemon.")
+             usage/connection error or a rejected request (unknown \
+             workload or experiment, out-of-range index, oversized frame), \
+             3 timed-out or crashed (including a $(b,--timeout) overrun), \
+             5 shed by an overloaded daemon.")
     Term.(const query $ socket_arg $ connect_timeout_arg $ timeout_arg
           $ deadline_arg $ retries_arg $ seed_arg $ samples_arg
           $ confidence_arg $ tolerance_arg $ raw_arg $ args_arg)

@@ -24,21 +24,26 @@ fi
 dune exec bin/predlab.exe -- stats --jobs 2 --format json > _build/current.json
 dune exec bin/predlab.exe -- compare BENCH_0.json _build/current.json --tolerance 400
 
-# Fast-path trajectory gate. BENCH_1.json is the committed trajectory point
-# recorded after the fast engine landed (bench/main.exe --json BENCH_1.json).
-# Comparing it against BENCH_0.json tracks the speedup trajectory: timings
-# are non-gating at this tolerance (the fast kernels are strictly faster and
-# compare only flags slowdowns), but any check regression gates hard. The
-# bench binary itself refuses to emit a report with fast kernels unless
-# FIG1.FAST passes; re-assert the presence half of that gate here so a
-# hand-edited or stale BENCH_1.json cannot slip through.
-dune exec bin/predlab.exe -- compare BENCH_0.json BENCH_1.json --tolerance 400
-if grep -q '"engine": "fast"' BENCH_1.json; then
-  if ! grep -q '"id": "FIG1.FAST"' BENCH_1.json; then
-    echo "fast-engine kernels present but the FIG1.FAST oracle is absent" >&2
-    exit 1
+# Trajectory gates. Each BENCH_n.json is a committed trajectory point
+# recorded with bench/main.exe --json after a layer landed: 1 the fast
+# engine, 2 the sampling layer, 3 the certifier, 4 the worker-pool daemon.
+# Comparing each point against its predecessor tracks the trajectory:
+# timings are non-gating at this cross-hardware tolerance (compare only
+# flags slowdowns), but any check regression gates hard. The bench binary
+# itself refuses to emit a report with fast kernels unless FIG1.FAST
+# passes; re-assert the presence half of that gate here so a hand-edited
+# or stale point cannot slip through.
+for n in 1 2 3 4; do
+  dune exec bin/predlab.exe -- compare "BENCH_$((n - 1)).json" "BENCH_$n.json" \
+    --tolerance 400
+  if grep -q '"engine": "fast"' "BENCH_$n.json"; then
+    if ! grep -q '"id": "FIG1.FAST"' "BENCH_$n.json"; then
+      echo "BENCH_$n.json: fast-engine kernels present but the" \
+        "FIG1.FAST oracle is absent" >&2
+      exit 1
+    fi
   fi
-fi
+done
 
 # Sampling gates. DEF.SAMPLE is the oracle that lets a sampled estimate be
 # trusted where no exhaustive sweep double-checks it: exhaustive
@@ -46,20 +51,10 @@ fi
 # and the whole report bit-identical across jobs and reruns at a fixed
 # seed. The CLI smoke re-asserts containment end to end (`sample --check`
 # exits 1 on any value outside its CI), and the sampling microbenchmark
-# kernels must still run. BENCH_2.json is the committed trajectory point
-# recorded after the sampling layer landed; comparing it against
-# BENCH_1.json gates check regressions hard (timings use the generous
-# cross-hardware tolerance, as above).
+# kernels must still run.
 dune exec bin/predlab.exe -- run DEF.SAMPLE --jobs 2
 dune exec bin/predlab.exe -- sample --check --jobs 2 clamp popcount
 dune exec bench/main.exe -- --only DEF.SAMPLE
-dune exec bin/predlab.exe -- compare BENCH_1.json BENCH_2.json --tolerance 400
-if grep -q '"engine": "fast"' BENCH_2.json; then
-  if ! grep -q '"id": "FIG1.FAST"' BENCH_2.json; then
-    echo "fast-engine kernels present but the FIG1.FAST oracle is absent" >&2
-    exit 1
-  fi
-fi
 
 # Certifier gates. DEF.CERT is the oracle that lets a static certificate
 # be trusted without an exhaustive sweep: flat-machine Invariant verdicts
@@ -69,8 +64,7 @@ fi
 # the branch channel. The CLI smoke keeps the JSON report as an artifact,
 # re-asserts the pinned flat-invariant set, and checks both fixture
 # directions — a certifier that stops contradicting the leaky fixture
-# would otherwise pass CI silently. BENCH_3.json is the committed
-# trajectory point recorded after the certifier landed.
+# would otherwise pass CI silently.
 dune exec bin/predlab.exe -- run DEF.CERT --jobs 2
 dune exec bin/predlab.exe -- certify --format json > _build/certify.json
 dune exec bin/predlab.exe -- certify --fixture leakfree > /dev/null
@@ -81,13 +75,6 @@ fi
 dune exec bin/predlab.exe -- certify --require-invariant \
   fibonacci call_chain state_machine
 dune exec bench/main.exe -- --only CERT
-dune exec bin/predlab.exe -- compare BENCH_2.json BENCH_3.json --tolerance 400
-if grep -q '"engine": "fast"' BENCH_3.json; then
-  if ! grep -q '"id": "FIG1.FAST"' BENCH_3.json; then
-    echo "fast-engine kernels present but the FIG1.FAST oracle is absent" >&2
-    exit 1
-  fi
-fi
 
 # Supervision gates. A fault injected into one experiment must not take the
 # run down: the other experiments complete, the failure is classified in the
@@ -187,8 +174,9 @@ test ! -e "$SOCK"
 
 # Frame bound and graceful drain. A daemon with a small --max-frame must
 # reject an over-cap request with the structured oversized envelope (exit
-# 1, message names the cap) while staying alive for the next query; a
-# SIGTERM must then drain it cleanly: exit 0 and the socket unlinked.
+# 2, a rejected request like any other bad input; the message names the
+# cap) while staying alive for the next query; a SIGTERM must then drain
+# it cleanly: exit 0 and the socket unlinked.
 SOCK2=_build/predlab-ci-frame.sock
 rm -f "$SOCK2"
 "$PREDLAB" serve --socket "$SOCK2" --jobs 1 --conns 2 --max-frame 4096 &
@@ -198,7 +186,7 @@ set +e
 "$PREDLAB" query --socket "$SOCK2" certify "$BIG" 2> _build/serve-oversized.err
 frame_status=$?
 set -e
-test "$frame_status" -eq 1
+test "$frame_status" -eq 2
 grep -q "frame exceeds 4096 bytes" _build/serve-oversized.err
 "$PREDLAB" query --socket "$SOCK2" stats > _build/serve-frame-stats.json
 grep -q '"oversized_frames": 1' _build/serve-frame-stats.json
@@ -211,13 +199,5 @@ test ! -e "$SOCK2"
 "$PREDLAB" chaos --plane serve --seed 1
 
 # Serve bench kernels (including the concurrent-throughput daemon round)
-# must still run. BENCH_4.json is the committed trajectory point recorded
-# after the worker-pool daemon landed.
+# must still run.
 dune exec bench/main.exe -- --only SERVE
-dune exec bin/predlab.exe -- compare BENCH_3.json BENCH_4.json --tolerance 400
-if grep -q '"engine": "fast"' BENCH_4.json; then
-  if ! grep -q '"id": "FIG1.FAST"' BENCH_4.json; then
-    echo "fast-engine kernels present but the FIG1.FAST oracle is absent" >&2
-    exit 1
-  fi
-fi

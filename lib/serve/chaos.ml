@@ -267,7 +267,8 @@ let wedged_with_sibling socket =
     sibling_outcome @ reap_outcome
 
 (* Four concurrent clients, four workers: every response must be the
-   exact document the one-shot CLI's --format json path constructs. *)
+   exact envelope of the document the one-shot CLI's --format json path
+   prints, both built by {!Command.certify}. *)
 let concurrent_burst ~rng socket =
   let names = List.map fst Isa.Workload.registry in
   let picks = List.init 4 (fun _ -> Rng.pick rng names) in
@@ -287,22 +288,16 @@ let concurrent_burst ~rng socket =
                            (Protocol.Certify { workloads = [ name ] }))
                     with
                     | Error e -> Error (Client.error_message e)
-                    | Ok response -> (
-                        match Json.member "result" response with
-                        | Some result ->
-                          let expected =
-                            Predictability.Certifier.report_to_json
-                              [ Predictability.Certifier.row
-                                  (Isa.Workload.find name) ]
-                          in
-                          if Json.to_string result = Json.to_string expected
-                          then Ok ()
-                          else
-                            Error
-                              (Printf.sprintf
-                                 "certify %s diverged from the CLI \
-                                  constructor document" name)
-                        | None -> Error "success envelope without a result"))))
+                    | Ok response ->
+                      let expected =
+                        Command.reply ~op:"certify" (Command.certify [ name ])
+                      in
+                      if Json.to_string response = Json.to_string expected
+                      then Ok ()
+                      else
+                        Error
+                          (Printf.sprintf
+                             "certify %s diverged from the CLI document" name))))
       picks
   in
   List.concat_map

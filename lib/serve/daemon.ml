@@ -75,16 +75,12 @@ type t = {
   live : (Unix.file_descr, unit) Hashtbl.t;
 }
 
-let unknown_workload name =
-  Printf.sprintf "unknown workload %S; try the stats op or `predlab \
-                  workloads` for the registry" name
-
 let entry_for t name =
   let build () =
-    match List.assoc_opt name Isa.Workload.registry with
-    | None -> Error (unknown_workload name)
-    | Some make ->
-      let w = make () in
+    match Command.select [ name ] with
+    | Error _ as unknown -> unknown
+    | Ok selected ->
+      let w = List.assoc name selected () in
       let program, _ = Isa.Workload.program w in
       let e =
         { e_engine =
@@ -109,27 +105,11 @@ let entry_for t name =
   Mutex.unlock t.engines_mu;
   result
 
-(* Mirror of the CLI's positional-workload handling: empty list = the whole
-   registry, any unknown name is a request error (not a daemon death). *)
-let select_workloads names =
-  match names with
-  | [] -> Ok Isa.Workload.registry
-  | names ->
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | name :: rest -> (
-          match List.assoc_opt name Isa.Workload.registry with
-          | Some make -> go ((name, make) :: acc) rest
-          | None -> Error (unknown_workload name))
-    in
-    go [] names
-
 (* --- Request handlers ---------------------------------------------------
 
-   Each returns a complete response envelope. The run/sample/lint result
-   documents are built by exactly the functions the one-shot CLI's
-   [--format json] path uses, so a client rendering [result] with the
-   pretty emitter reproduces the CLI's bytes. *)
+   Each returns a complete response envelope. Only the ops that need
+   daemon state live here; run/sample/lint/certify/compare are answered
+   by {!Command}, the builders the one-shot CLI prints from. *)
 
 let handle_eval t ~workload ~state ~input =
   match entry_for t workload with
@@ -168,96 +148,6 @@ let handle_eval t ~workload ~state ~input =
              ("time_cycles", Json.Int time);
              ("cached", Json.Bool cached) ])
     end
-
-let handle_run t ~id ~retries ~deadline_s =
-  match Predictability.Experiments.lookup id with
-  | Error message -> Protocol.error ~op:"run" message
-  | Ok entry ->
-    let supervision =
-      { Predictability.Experiments.default_supervision with
-        deadline_s; retries }
-    in
-    let results, elapsed_s =
-      Predictability.Harness.elapsed (fun () ->
-          Predictability.Experiments.run_supervised ~jobs:t.config.jobs
-            ~supervision ~entries:[ entry ] ())
-    in
-    Protocol.ok ~op:"run"
-      (Predictability.Experiments.supervised_to_json ~jobs:t.config.jobs
-         ~elapsed_s results)
-
-let handle_sample t ~workloads ~seed ~samples ~confidence =
-  match select_workloads workloads with
-  | Error message -> Protocol.error ~op:"sample" message
-  | Ok selected ->
-    let default = Sampling.Sampler.default in
-    let spec =
-      { default with
-        Sampling.Sampler.seed =
-          Option.value ~default:default.Sampling.Sampler.seed seed;
-        n_cells =
-          Option.value ~default:default.Sampling.Sampler.n_cells samples;
-        confidence =
-          Option.value ~default:default.Sampling.Sampler.confidence
-            confidence }
-    in
-    let rows =
-      List.map
-        (fun entry ->
-           Predictability.Sampled.analyze ~jobs:t.config.jobs ~spec
-             ~cross_check:false entry)
-        selected
-    in
-    Protocol.ok ~op:"sample"
-      (Predictability.Sampled.report_to_json ~jobs:t.config.jobs rows)
-
-let handle_lint ~workloads =
-  match select_workloads workloads with
-  | Error message -> Protocol.error ~op:"lint" message
-  | Ok selected ->
-    let targets =
-      List.map
-        (fun (name, make) -> (name, Dataflow.Lint.check_workload (make ())))
-        selected
-    in
-    Protocol.ok ~op:"lint" (Dataflow.Lint.report_to_json targets)
-
-let handle_certify ~workloads =
-  match select_workloads workloads with
-  | Error message -> Protocol.error ~op:"certify" message
-  | Ok selected ->
-    let rows =
-      List.map (fun (_, make) -> Predictability.Certifier.row (make ())) selected
-    in
-    Protocol.ok ~op:"certify" (Predictability.Certifier.report_to_json rows)
-
-let handle_compare ~baseline ~current ~tolerance =
-  let findings =
-    match tolerance with
-    | None -> Predictability.Regression.compare_reports ~baseline ~current ()
-    | Some tolerance_pct ->
-      Predictability.Regression.compare_reports ~tolerance_pct ~baseline
-        ~current ()
-  in
-  Protocol.ok ~op:"compare"
-    (Json.Obj
-       [ ("schema", Json.String "predlab/serve-compare");
-         ("version", Json.Int 1);
-         ("passed", Json.Bool (findings = []));
-         ("findings",
-          Json.List
-            (List.map
-               (fun f ->
-                  Json.Obj
-                    [ ("kind",
-                       Json.String
-                         (Predictability.Regression.kind_string
-                            f.Predictability.Regression.kind));
-                      ("subject",
-                       Json.String f.Predictability.Regression.subject);
-                      ("detail",
-                       Json.String f.Predictability.Regression.detail) ])
-               findings)) ])
 
 let queue_depth t =
   Mutex.lock t.queue_mu;
@@ -350,11 +240,12 @@ let dispatch t (request, deadline_override) =
           ("after_s", Json.Float after_s) ]
       "timed_out"
   in
+  let jobs = t.config.jobs in
   match request with
   | Protocol.Run { id; retries } -> (
-      match handle_run t ~id ~retries ~deadline_s with
+      match Command.reply ~op (Command.run ~jobs ?deadline_s ~retries [ id ])
+      with
       | response -> response
-      | exception Invalid_argument message -> Protocol.error ~op message
       | exception exn -> Protocol.error ~op (Printexc.to_string exn))
   | Protocol.Shutdown -> handle_shutdown t
   | request -> (
@@ -363,11 +254,14 @@ let dispatch t (request, deadline_override) =
         | Protocol.Eval { workload; state; input } ->
           handle_eval t ~workload ~state ~input
         | Protocol.Sample { workloads; seed; samples; confidence } ->
-          handle_sample t ~workloads ~seed ~samples ~confidence
-        | Protocol.Lint { workloads } -> handle_lint ~workloads
-        | Protocol.Certify { workloads } -> handle_certify ~workloads
+          Command.reply ~op
+            (Command.sample ~jobs ?seed ?samples ?confidence workloads)
+        | Protocol.Lint { workloads } ->
+          Command.reply ~op (Command.lint workloads)
+        | Protocol.Certify { workloads } ->
+          Command.reply ~op (Command.certify workloads)
         | Protocol.Compare { baseline; current; tolerance } ->
-          handle_compare ~baseline ~current ~tolerance
+          Command.reply ~op (Command.compare ?tolerance ~baseline ~current ())
         | Protocol.Stats -> handle_stats t
         | Protocol.Run _ | Protocol.Shutdown -> assert false
       in

@@ -8,6 +8,7 @@ module Json = Prelude.Json
 module Protocol = Serve.Protocol
 module Daemon = Serve.Daemon
 module Client = Serve.Client
+module Command = Serve.Command
 
 let temp_socket =
   let counter = ref 0 in
@@ -221,22 +222,78 @@ let test_memo_hit_on_repeat () =
         (int_field "memo_cells" stats >= 1);
       Alcotest.(check int) "no errors" 0 (int_field "errors" stats))
 
-(* The daemon's certify result must be the exact document the one-shot
-   CLI builds — both go through Certifier.report_to_json, so equality is
-   by construction; this test pins the construction. *)
-let test_certify_matches_cli_document () =
+(* Timing fields differ between any two runs of the same experiment. *)
+let rec untimed = function
+  | Json.Obj fields ->
+    Json.Obj
+      (List.filter_map
+         (fun (k, v) ->
+            if List.mem k [ "elapsed_s"; "wall_sum_s"; "wall_s" ] then None
+            else Some (k, untimed v))
+         fields)
+  | Json.List items -> Json.List (List.map untimed items)
+  | j -> j
+
+(* One row per op the CLI and the daemon share, plus a name the registry
+   does not know (for compare, a document that is not a report): the
+   daemon's reply must carry the bytes of the core builder's reply, and
+   both must have the exit class the one-shot command exits with. *)
+let test_replies_match_cli_path () =
   with_daemon (fun _socket client ->
-      let result =
-        result_of (request client (Protocol.Certify { workloads = [ "clamp" ] }))
+      let report =
+        result_of (request client (Protocol.Run { id = "EQ4"; retries = 0 }))
       in
-      let expected =
-        Predictability.Certifier.report_to_json
-          [ Predictability.Certifier.row (Isa.Workload.find "clamp") ]
+      let sample workloads =
+        Protocol.Sample
+          { workloads; seed = Some 5; samples = Some 48; confidence = None }
       in
-      Alcotest.(check string) "same bytes as the CLI constructor"
-        (Json.to_string expected) (Json.to_string result);
-      Alcotest.(check (option string)) "schema" (Some "predlab/certify")
-        (Option.bind (Json.member "schema" result) Json.string_value))
+      let rows =
+        [ ("sample", sample [ "clamp" ], (fun () ->
+               Command.reply ~op:"sample"
+                 (Command.sample ~jobs:2 ~seed:5 ~samples:48 [ "clamp" ])), 0);
+          ("sample unknown", sample [ "nosuch" ], (fun () ->
+               Command.reply ~op:"sample"
+                 (Command.sample ~jobs:2 ~seed:5 ~samples:48 [ "nosuch" ])), 2);
+          ("lint", Protocol.Lint { workloads = [ "clamp" ] }, (fun () ->
+               Command.reply ~op:"lint" (Command.lint [ "clamp" ])), 0);
+          ("lint unknown", Protocol.Lint { workloads = [ "nosuch" ] },
+           (fun () -> Command.reply ~op:"lint" (Command.lint [ "nosuch" ])), 2);
+          ("certify", Protocol.Certify { workloads = [ "clamp" ] }, (fun () ->
+               Command.reply ~op:"certify" (Command.certify [ "clamp" ])), 0);
+          ("certify unknown", Protocol.Certify { workloads = [ "nosuch" ] },
+           (fun () ->
+              Command.reply ~op:"certify" (Command.certify [ "nosuch" ])), 2);
+          ("run", Protocol.Run { id = "EQ4"; retries = 0 }, (fun () ->
+               Command.reply ~op:"run" (Command.run ~jobs:2 [ "EQ4" ])), 0);
+          ("run unknown", Protocol.Run { id = "NOSUCH"; retries = 0 },
+           (fun () ->
+              Command.reply ~op:"run" (Command.run ~jobs:2 [ "NOSUCH" ])), 2);
+          ("compare",
+           Protocol.Compare
+             { baseline = report; current = report; tolerance = None },
+           (fun () ->
+              Command.reply ~op:"compare"
+                (Command.compare ~baseline:report ~current:report ())), 0);
+          ("compare non-report",
+           Protocol.Compare
+             { baseline = report; current = Json.Obj []; tolerance = None },
+           (fun () ->
+              Command.reply ~op:"compare"
+                (Command.compare ~baseline:report ~current:(Json.Obj []) ())),
+           1) ]
+      in
+      List.iter
+        (fun (label, req, cli, exit_class) ->
+           let served = request client req in
+           let built = cli () in
+           Alcotest.(check string) (label ^ ": same bytes as the core builder")
+             (Json.to_string (untimed built))
+             (Json.to_string (untimed served));
+           Alcotest.(check int) (label ^ ": one-shot exit class") exit_class
+             (Command.exit_class built);
+           Alcotest.(check int) (label ^ ": daemon exit class") exit_class
+             (Command.exit_class served))
+        rows)
 
 (* The daemon answers a fixed-seed sample request with the same bytes no
    matter how many worker domains it was started with (the report's own
@@ -391,10 +448,10 @@ let test_unknown_workload_is_request_error () =
           (Protocol.Eval { workload = "no_such"; state = 0; input = 0 })
       in
       let message = error_of response in
-      Alcotest.(check bool)
-        ("message names the workload: " ^ message)
-        true
-        (String.length message > 0);
+      (* The registry listing is `predlab workloads`; the stats op lists
+         only the engines built so far. *)
+      Alcotest.(check string) "the core's unknown-workload message"
+        "unknown workload \"no_such\"; try `predlab workloads`" message;
       (* Out-of-range cell indexes are request errors too. *)
       let response =
         request client
@@ -638,8 +695,8 @@ let () =
            test_run_deadline_classified_by_supervisor;
          Alcotest.test_case "compare gates two report documents" `Quick
            test_compare_gates_reports;
-         Alcotest.test_case "certify matches the CLI document" `Quick
-           test_certify_matches_cli_document ]);
+         Alcotest.test_case "replies match the CLI path" `Quick
+           test_replies_match_cli_path ]);
       ("robustness",
        [ Alcotest.test_case "malformed line keeps the connection" `Quick
            test_malformed_line_keeps_connection;
