@@ -9,10 +9,10 @@
    artefact, timing the computational kernel behind that experiment, so
    regressions in the simulators and analyses are visible.
 
-   Part 3 demonstrates the parallel T_p(q,i) evaluation engine: the two
-   heaviest exhaustive experiments (EXT.ATLAS and RW.CACHE) timed at jobs=1
-   and jobs=N, with the results checked bit-identical. Pass [--jobs N] to
-   override N (default: Domain.recommended_domain_count). *)
+   Part 3 demonstrates the parallel T_p(q,i) evaluation engine: the
+   heaviest exhaustive experiment on the domain pool (EXT.ATLAS) timed at
+   jobs=1 and jobs=N, with the results checked bit-identical. Pass
+   [--jobs N] to override N (default: Domain.recommended_domain_count). *)
 
 open Bechamel
 open Toolkit
@@ -245,9 +245,10 @@ let wcet_config =
    worker-domain count its closure uses — both land in the per-kernel JSON
    (schema v2), so trajectory points are comparable like for like. Kernels
    that fan out on the default pool record the bench-wide [jobs]; everything
-   else runs on the calling domain (jobs = 1). The three fast kernels keep
-   the historical names — `predlab compare` then reports their speedup
-   against the exact baseline — with `_exact` twins pinning the old path. *)
+   else runs on the calling domain (jobs = 1). The FIG1 and EXT.EXTENT fast
+   kernels keep the historical names — `predlab compare` then reports their
+   speedup against the exact baseline — with `_exact` twins pinning the old
+   path. *)
 type kernel_spec = {
   k_name : string;
   k_engine : string;
@@ -334,11 +335,12 @@ let kernel_specs jobs =
         Dram.Controller.refresh_windows config ~horizon:100000);
     stage "TAB2.R6/singlepath_transform" (fun () ->
         Singlepath.Transform.transform singlepath_fixture);
-    stage ~engine:"fast" "RW.CACHE/evict_lru4" (fun () ->
-        Predictability.Cache_metrics.evict ~engine:`Fast Cache.Policy.Lru
-          ~ways:4 ~max_probes:6);
-    stage ~kjobs:jobs "RW.CACHE/evict_lru4_exact" (fun () ->
-        Predictability.Cache_metrics.evict Cache.Policy.Lru ~ways:4 ~max_probes:6);
+    stage "RW.CACHE/fill_plru4" (fun () ->
+        Predictability.Cache_metrics.fill Cache.Policy.Plru ~ways:4
+          ~max_probes:14);
+    stage "RW.CACHE/fill_mru4" (fun () ->
+        Predictability.Cache_metrics.fill Cache.Policy.Mru ~ways:4
+          ~max_probes:14);
     stage "DEF.SAMPLE/sampler_run" (fun () ->
         Sampling.Sampler.run ~jobs:1 ~spec:sampling_spec ~n_states:32
           ~n_inputs:32 ~time:sampling_time ());
@@ -514,8 +516,7 @@ let run_speedup_suite jobs =
   Printf.printf
     "--- Part 3: parallel evaluation engine (jobs=1 vs jobs=%d) ---\n" jobs;
   let cases =
-    [ ("ext_atlas", fun () -> Predictability.Exp_atlas.run ());
-      ("rw_cache_metrics", fun () -> Predictability.Exp_cache_metrics.run ()) ]
+    [ ("ext_atlas", fun () -> Predictability.Exp_atlas.run ()) ]
   in
   let speedups =
     List.map

@@ -28,7 +28,7 @@ let () =
   print_endline "";
   print_endline "Inherent predictability metrics (evict / fill horizons):";
   print_endline "  evict: distinct accesses until any unknown content is surely gone";
-  print_endline "  fill:  distinct accesses until the state is exactly known";
+  print_endline "  fill:  distinct accesses until the state is known up to behaviour";
   print_endline "";
   Printf.printf "%-6s %6s %6s %6s\n" "policy" "ways" "evict" "fill";
   List.iter

@@ -88,28 +88,32 @@ let rec tree_evict tag = function
     if bit then Node (false, left, tree_evict tag right)
     else Node (true, tree_evict tag left, right)
 
+(* [holds tag way]: [way] holds [tag]. An int comparison, unlike
+   [way = Some tag] or [List.mem], which call the polymorphic compare. *)
+let holds tag = function Some t -> t = tag | None -> false
+
 let access state tag =
   match state with
   | Slru (w, tags) ->
-    let hit = List.mem tag tags in
+    let hit = List.exists (Int.equal tag) tags in
     let rest = List.filter (fun t -> t <> tag) tags in
     let tags' = tag :: Prelude.Listx.take (w - 1) rest in
     (hit, Slru (w, tags'))
   | Sfifo (w, tags) ->
-    if List.mem tag tags then (true, state)
+    if List.exists (Int.equal tag) tags then (true, state)
     else (false, Sfifo (w, tag :: Prelude.Listx.take (w - 1) tags))
   | Splru tree ->
     if tree_resident tag tree then (true, Splru (tree_touch tag tree))
     else if tree_has_empty tree then (false, Splru (tree_fill tag tree))
     else (false, Splru (tree_evict tag tree))
   | Smru ways_list ->
-    let hit = List.exists (fun (t, _) -> t = Some tag) ways_list in
+    let hit = List.exists (fun (t, _) -> holds tag t) ways_list in
     if hit then begin
-      let set_bit = List.map (fun (t, b) -> (t, b || t = Some tag)) ways_list in
+      let set_bit = List.map (fun (t, b) -> (t, b || holds tag t)) ways_list in
       (* If every bit is now set, clear all but the just-accessed way. *)
       let all_set = List.for_all snd set_bit in
       let final =
-        if all_set then List.map (fun (t, _) -> (t, t = Some tag)) set_bit
+        if all_set then List.map (fun (t, _) -> (t, holds tag t)) set_bit
         else set_bit
       in
       (true, Smru final)
@@ -132,31 +136,35 @@ let access state tag =
       let placed = place [] ways_list in
       let all_set = List.for_all snd placed in
       let final =
-        if all_set then List.map (fun (t, _) -> (t, t = Some tag)) placed
+        if all_set then List.map (fun (t, _) -> (t, holds tag t)) placed
         else placed
       in
       (false, Smru final)
     end
   | Srr (ways_list, next) ->
-    if List.exists (fun t -> t = Some tag) ways_list then (true, state)
+    if List.exists (holds tag) ways_list then (true, state)
     else begin
-      let ways_arr = Array.of_list ways_list in
       (* Prefer an invalid way; otherwise replace at the pointer. *)
-      let invalid = ref (-1) in
-      Array.iteri (fun i t -> if t = None && !invalid < 0 then invalid := i)
-        ways_arr;
-      let slot = if !invalid >= 0 then !invalid else next in
-      ways_arr.(slot) <- Some tag;
-      let next' = if !invalid >= 0 then next else (next + 1) mod Array.length ways_arr in
-      (false, Srr (Array.to_list ways_arr, next'))
+      let rec first_invalid i = function
+        | [] -> None
+        | None :: _ -> Some i
+        | Some _ :: rest -> first_invalid (i + 1) rest
+      in
+      let slot, next' =
+        match first_invalid 0 ways_list with
+        | Some i -> (i, next)
+        | None -> (next, (next + 1) mod List.length ways_list)
+      in
+      let ways' = List.mapi (fun i t -> if i = slot then Some tag else t) ways_list in
+      (false, Srr (ways', next'))
     end
 
 let resident state tag =
   match state with
-  | Slru (_, tags) | Sfifo (_, tags) -> List.mem tag tags
+  | Slru (_, tags) | Sfifo (_, tags) -> List.exists (Int.equal tag) tags
   | Splru tree -> tree_resident tag tree
-  | Smru ways_list -> List.exists (fun (t, _) -> t = Some tag) ways_list
-  | Srr (ways_list, _) -> List.exists (fun t -> t = Some tag) ways_list
+  | Smru ways_list -> List.exists (fun (t, _) -> holds tag t) ways_list
+  | Srr (ways_list, _) -> List.exists (holds tag) ways_list
 
 let rec tree_contents = function
   | Leaf t -> [ t ]
@@ -171,8 +179,70 @@ let contents state =
   | Smru ways_list -> List.map fst ways_list
   | Srr (ways_list, _) -> ways_list
 
-let equal a b = a = b
-let compare = Stdlib.compare
+let map_tags f = function
+  | Slru (w, tags) -> Slru (w, List.map f tags)
+  | Sfifo (w, tags) -> Sfifo (w, List.map f tags)
+  | Splru tree ->
+    let rec go = function
+      | Leaf t -> Leaf (Option.map f t)
+      | Node (bit, left, right) -> Node (bit, go left, go right)
+    in
+    Splru (go tree)
+  | Smru ways_list -> Smru (List.map (fun (t, b) -> (Option.map f t, b)) ways_list)
+  | Srr (ways_list, next) -> Srr (List.map (Option.map f) ways_list, next)
+
+let resident_set state =
+  List.sort_uniq Int.compare (List.filter_map Fun.id (contents state))
+
+(* Rename the tags of a pair jointly to 0, 1, ... in order of first
+   appearance in [a]'s then [b]'s contents. No policy can observe a renaming
+   of blocks, so pairs that differ by one share a representative and the
+   product search of [equal] ranges over a finite set. *)
+let canonical (a, b) =
+  let names = ref [] in
+  List.iter
+    (Option.iter (fun t ->
+         if not (List.mem_assoc t !names) then
+           names := (t, List.length !names) :: !names))
+    (contents a @ contents b);
+  let name t = List.assoc t !names in
+  (map_tags name a, map_tags name b)
+
+module Pairs = Hashtbl.Make (struct
+    type t = state * state
+    let equal = ( = )
+    let hash = Hashtbl.hash_param 64 256
+  end)
+
+(* Behavioural equality. One access hits iff its block is resident, so [a]
+   and [b] answer every access sequence alike iff every pair reachable from
+   (a, b) has equal resident sets. Successors are taken on every resident
+   block plus one fresh block: all non-resident blocks lead to the same
+   pair up to renaming. Structurally equal pairs need no further search. *)
+let equal a b =
+  a = b
+  || kind a = kind b && ways a = ways b
+     && begin
+       let seen = Pairs.create 64 in
+       let rec explore = function
+         | [] -> true
+         | (a, b) :: rest ->
+           let blocks = resident_set a in
+           (* Canonical tags are 0 .. |blocks| - 1: |blocks| is fresh. *)
+           blocks = resident_set b
+           && explore
+             (List.fold_left
+                (fun rest tag ->
+                   let pair = canonical (snd (access a tag), snd (access b tag)) in
+                   if fst pair = snd pair || Pairs.mem seen pair then rest
+                   else begin
+                     Pairs.add seen pair ();
+                     pair :: rest
+                   end)
+                rest (List.length blocks :: blocks))
+       in
+       explore [ canonical (a, b) ]
+     end
 
 let kind_ordinal = function
   | Lru -> 0
@@ -181,7 +251,7 @@ let kind_ordinal = function
   | Mru -> 3
   | Round_robin -> 4
 
-(* Canonical integer encoding of the complete state: kind, geometry, slot
+(* Structural integer encoding of the complete state: kind, geometry, slot
    contents in policy order, and the policy metadata that [contents] alone
    does not carry (MRU bits, PLRU bits, RR pointer). Injective on states,
    so it can serve both as a memo-table key component and as the source for
@@ -255,19 +325,15 @@ let packed_step kind ~slots ~base ~ways ~meta ~mbase tag =
     end
   | Plru | Mru -> invalid_arg "Policy.packed_step: kind has no packed layout"
 
-let packed_kind = function
-  | Lru | Fifo | Round_robin -> true
-  | Plru | Mru -> false
-
-(* All ways-length sequences of pairwise-distinct blocks. *)
+(* All ways-length sequences of pairwise-distinct blocks, lazily. *)
 let rec arrangements ways blocks =
-  if ways = 0 then [ [] ]
+  if ways = 0 then Seq.return []
   else
-    List.concat_map
+    Seq.flat_map
       (fun b ->
          let rest = List.filter (fun x -> x <> b) blocks in
-         List.map (fun tail -> b :: tail) (arrangements (ways - 1) rest))
-      blocks
+         Seq.map (fun tail -> b :: tail) (arrangements (ways - 1) rest))
+      (List.to_seq blocks)
 
 let rec bit_patterns n =
   if n = 0 then [ [] ]
@@ -309,34 +375,28 @@ let tree_of ways contents bits =
 let enumerate_full_states kind ~ways ~blocks =
   if ways < 1 then invalid_arg "Policy.enumerate_full_states: ways must be >= 1";
   let fills = arrangements ways blocks in
+  (* Every filling, paired with every metadata value in [metas]. *)
+  let each metas build =
+    Seq.flat_map (fun contents -> Seq.map (build contents) (List.to_seq metas))
+      fills
+  in
   match kind with
-  | Lru -> List.map (fun tags -> Slru (ways, tags)) fills
-  | Fifo -> List.map (fun tags -> Sfifo (ways, tags)) fills
+  | Lru -> Seq.map (fun tags -> Slru (ways, tags)) fills
+  | Fifo -> Seq.map (fun tags -> Sfifo (ways, tags)) fills
   | Plru ->
     if ways land (ways - 1) <> 0 || ways > 8 then
       invalid_arg "Policy.enumerate_full_states: PLRU requires ways in {1,2,4,8}";
-    List.concat_map
-      (fun contents ->
-         List.map
-           (fun bits -> Splru (tree_of ways contents bits))
-           (bit_patterns (ways - 1)))
-      fills
+    each (bit_patterns (ways - 1)) (fun contents bits ->
+        Splru (tree_of ways contents bits))
   | Mru ->
     (* The all-ones bit pattern is transient (it is normalised away on the
        access that would create it), so exclude it. *)
-    List.concat_map
-      (fun contents ->
-         List.filter_map
-           (fun bits ->
-              if List.for_all (fun b -> b) bits then None
-              else Some (Smru (List.map2 (fun c b -> (Some c, b)) contents bits)))
-           (bit_patterns ways))
-      fills
+    let patterns = List.filter (List.exists not) (bit_patterns ways) in
+    each patterns (fun contents bits ->
+        Smru (List.map2 (fun c b -> (Some c, b)) contents bits))
   | Round_robin ->
-    List.concat_map
-      (fun contents ->
-         List.init ways (fun p -> Srr (List.map (fun c -> Some c) contents, p)))
-      fills
+    each (List.init ways Fun.id) (fun contents p ->
+        Srr (List.map Option.some contents, p))
 
 let pp ppf state =
   let pp_slot ppf = function

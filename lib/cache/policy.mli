@@ -2,7 +2,7 @@
 
     Persistence matters: the predictability quantifications (Defs. 3-5) and
     the evict/fill metrics of Reineke et al. explore the space of reachable
-    set states, which needs cheap state copies and structural equality. *)
+    set states, which needs cheap state copies. *)
 
 type kind = Lru | Fifo | Plru | Mru | Round_robin
 
@@ -29,18 +29,21 @@ val contents : state -> int option list
 (** Current tags in policy-specific order, padded with [None]. *)
 
 val equal : state -> state -> bool
-val compare : state -> state -> int
+(** Behavioural equality: same kind and geometry, and the same hit/miss
+    answer to every access sequence (hence the same resident set). States
+    that differ only in how they record it — mirrored PLRU trees, rotated
+    round-robin rings — are equal. Decided by a product search over state
+    pairs with blocks renamed jointly, so it costs more than [(=)]. *)
+
 val pp : Format.formatter -> state -> unit
 
 val pack : state -> int list
-(** Canonical integer encoding of the complete state: kind ordinal, ways,
+(** Integer encoding of the complete state: kind ordinal, ways,
     slot tags in policy order ([-1] for empty), then policy metadata (PLRU
-    bits pre-order, MRU bits, RR victim pointer). Injective on states:
-    [pack a = pack b] iff [equal a b]. The fast-path engine uses it both as
-    a memo-key component and to seed bit-packed replay arrays. *)
-
-val packed_kind : kind -> bool
-(** Whether the kind supports {!packed_step} (LRU, FIFO, round-robin). *)
+    bits pre-order, MRU bits, RR victim pointer). Structural and injective
+    on states: [pack a = pack b] implies [equal a b]. The fast-path engine
+    uses it both as a memo-key component and to seed bit-packed replay
+    arrays. *)
 
 val packed_step :
   kind -> slots:int array -> base:int -> ways:int ->
@@ -51,10 +54,12 @@ val packed_step :
     hit/miss and successor state for non-negative tags.
     @raise Invalid_argument for kinds without a packed layout. *)
 
-val enumerate_full_states : kind -> ways:int -> blocks:int list -> state list
+val enumerate_full_states : kind -> ways:int -> blocks:int list -> state Seq.t
 (** Every representable state whose ways are all valid and filled with
     pairwise-distinct blocks drawn from [blocks] (contents, order, and
     policy metadata — FIFO order, PLRU bits, MRU bits, RR pointer — all
     enumerated). This is the "completely unknown initial state" space used
     by the evict/fill metrics of Reineke et al. Sizes grow as
-    [|blocks| P ways * policy-bits]; intended for small geometries. *)
+    [|blocks| P ways * policy-bits]; the sequence is lazy, so a consumer
+    that stops early never builds the rest.
+    @raise Invalid_argument at once on unsupported geometry. *)

@@ -9,128 +9,51 @@ let estimate_to_string = function
 (* Old (unknown) blocks are negative ids, probes positive: by renaming
    symmetry, [ways] distinct unknown blocks cover every initial content mix,
    and initial states may already contain some of the probe blocks — the
-   case that makes FIFO need 2k-1 probes rather than k. *)
-let initial_states kind ~ways ~probes =
+   case that makes FIFO need 2k-1 probes rather than k.
+
+   Depth [j] holds when every initial state, pushed through probes 1..j,
+   ends with no old block resident and, for [fill], behaviourally equal to
+   the first final. The sweep stops at the first final that fails, so only
+   a depth that holds visits every initial state. Finals are deduplicated
+   structurally before the costlier [Policy.equal]. One eval is one access
+   stepped by the sweep. *)
+let explore ~fill ~ways ~max_probes kind =
   let olds = List.init ways (fun i -> -(i + 1)) in
-  Cache.Policy.enumerate_full_states kind ~ways ~blocks:(olds @ probes)
-
-let final_state state probes =
-  List.fold_left
-    (fun s p ->
-       let _, s' = Cache.Policy.access s p in
-       s')
-    state probes
-
-let olds_all_evicted state ways =
-  let olds = List.init ways (fun i -> -(i + 1)) in
-  not (List.exists (Cache.Policy.resident state) olds)
-
-(* Below this many initial states the per-depth pool's domain spawn/join
-   overhead dominates the (microseconds of) policy updates, so small
-   explorations — all of ways = 2, the shallow depths of ways = 4 — stay on
-   the sequential loop; only the combinatorially large depths fan out. *)
-let parallel_threshold = 512
-
-(* Packed exploration for the kinds with a flat-array layout (LRU, FIFO,
-   round-robin): one working slots/meta array stepped in place per initial
-   state, no persistent copies in the probe loop. Old blocks are remapped
-   from negative ids to [j+1 .. j+ways] (probes are [1..j]) because the
-   packed layout reserves -1 for empty slots — a pure renaming of blocks,
-   which every replacement policy is invariant under, so the explored state
-   space and both metrics are unchanged. The sweep never early-exits, so
-   the eval accounting below matches the generic path exactly. *)
-let packed_check kind ~ways ~j ~fill =
-  let probes = List.init j (fun i -> i + 1) in
-  let olds = List.init ways (fun i -> j + 1 + i) in
-  let states =
-    Cache.Policy.enumerate_full_states kind ~ways ~blocks:(olds @ probes)
+  let holds j =
+    let probes = List.init j (fun i -> i + 1) in
+    let first = ref None in
+    let known = Hashtbl.create 64 in
+    let final_ok s =
+      (not (List.exists (Cache.Policy.resident s) olds))
+      && ((not fill) || Hashtbl.mem known s
+          || begin
+            Hashtbl.add known s ();
+            match !first with
+            | None -> first := Some s; true
+            | Some f -> Cache.Policy.equal f s
+          end)
+    in
+    let stepped = ref 0 in
+    let ok =
+      Seq.for_all
+        (fun s ->
+           stepped := !stepped + j;
+           final_ok
+             (List.fold_left (fun s p -> snd (Cache.Policy.access s p)) s probes))
+        (Cache.Policy.enumerate_full_states kind ~ways ~blocks:(olds @ probes))
+    in
+    Prelude.Instrument.add_evals !stepped;
+    ok
   in
-  let state_count = List.length states in
-  let slots = Array.make ways (-1) in
-  let meta = Array.make 1 0 in
-  let first_final = ref None in
-  let ok = ref true in
-  List.iter
-    (fun s ->
-       (match Cache.Policy.pack s with
-        | _kind :: _ways :: rest ->
-          List.iteri
-            (fun idx v ->
-               if idx < ways then slots.(idx) <- v else meta.(idx - ways) <- v)
-            rest
-        | _ -> invalid_arg "Cache_metrics: malformed pack");
-       List.iter
-         (fun p ->
-            ignore
-              (Cache.Policy.packed_step kind ~slots ~base:0 ~ways ~meta
-                 ~mbase:0 p))
-         probes;
-       (* No old block survives iff every slot is a probe id (or empty). *)
-       let no_old = Array.for_all (fun tag -> tag <= j) slots in
-       if not no_old then ok := false;
-       if fill then begin
-         let snap =
-           ( Array.to_list slots,
-             if kind = Cache.Policy.Round_robin then meta.(0) else 0 )
-         in
-         match !first_final with
-         | None -> first_final := Some snap
-         | Some f -> if f <> snap then ok := false
-       end)
-    states;
-  Prelude.Instrument.add_evals (state_count * j);
-  !ok
-
-let packed_search ~fill ~ways ~max_probes kind =
   let rec try_probes j =
     if j > max_probes then Beyond max_probes
-    else if packed_check kind ~ways ~j ~fill then Exact j
+    else if holds j then Exact j
     else try_probes (j + 1)
   in
   try_probes 1
 
-let search ?jobs ~check ~ways ~max_probes kind =
-  let rec try_probes j =
-    if j > max_probes then Beyond max_probes
-    else begin
-      let probes = List.init j (fun i -> i + 1) in
-      let states = initial_states kind ~ways ~probes in
-      let state_count = List.length states in
-      (* Each initial state is pushed through the probe sequence
-         independently: fan the exploration out across the domain pool once
-         the state space is big enough to amortise it. *)
-      let push s = final_state s probes in
-      let finals =
-        if state_count < parallel_threshold then List.map push states
-        else Prelude.Parallel.map ?jobs push states
-      in
-      (* One eval per state-transition explored (state x probe), matching
-         Quantify's cells-based accounting of kernel work. *)
-      Prelude.Instrument.add_evals (state_count * j);
-      if check finals then Exact j else try_probes (j + 1)
-    end
-  in
-  try_probes 1
+let evict ?engine:_ kind ~ways ~max_probes =
+  explore ~fill:false ~ways ~max_probes kind
 
-let evict ?jobs ?(engine = `Exact) kind ~ways ~max_probes =
-  match engine with
-  | `Fast when Cache.Policy.packed_kind kind ->
-    packed_search ~fill:false ~ways ~max_probes kind
-  | `Exact | `Fast ->
-    let check finals =
-      List.for_all (fun s -> olds_all_evicted s ways) finals
-    in
-    search ?jobs ~check ~ways ~max_probes kind
-
-let fill ?jobs ?(engine = `Exact) kind ~ways ~max_probes =
-  match engine with
-  | `Fast when Cache.Policy.packed_kind kind ->
-    packed_search ~fill:true ~ways ~max_probes kind
-  | `Exact | `Fast ->
-    let check = function
-      | [] -> true
-      | first :: rest ->
-        olds_all_evicted first ways
-        && List.for_all (fun s -> Cache.Policy.equal s first) rest
-    in
-    search ?jobs ~check ~ways ~max_probes kind
+let fill ?engine:_ kind ~ways ~max_probes =
+  explore ~fill:true ~ways ~max_probes kind

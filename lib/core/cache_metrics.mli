@@ -14,10 +14,13 @@
       state is unique).
 
     Both are computed here by exhaustive exploration of the policy's state
-    space — they are inherent properties, independent of any analysis.
-    Expected orderings (ibid.): LRU achieves the minimum ([evict = fill =
-    k]); FIFO, PLRU and MRU need strictly longer sequences, bounding the
-    precision of {e any} cache analysis for those policies. *)
+    space — they are inherent properties, independent of any analysis. The
+    fill test compares final states with the behavioural {!Cache.Policy.equal}:
+    two states that answer every access alike count as the same state.
+    Published values (ibid.): LRU achieves the minimum ([evict = fill = k]);
+    FIFO needs [2k-1] / [3k-1], PLRU [k/2 log2 k + 1] / [k/2 log2 k + k - 1],
+    MRU [2k-2] / unbounded, bounding the precision of {e any} cache analysis
+    for those policies. *)
 
 type estimate =
   | Exact of int
@@ -26,17 +29,14 @@ type estimate =
 val estimate_to_string : estimate -> string
 
 val evict :
-  ?jobs:int -> ?engine:Quantify.engine ->
+  ?engine:Quantify.engine ->
   Cache.Policy.kind -> ways:int -> max_probes:int -> estimate
-(** The state-space exploration runs on [jobs] worker domains (default
-    {!Prelude.Parallel.default_jobs}); results are identical for any job
-    count. Under [`Fast] (default [`Exact]), LRU/FIFO/round-robin step one
-    packed working array in place instead of copying persistent states per
-    probe — with old blocks renamed to positive ids, a symmetry every
-    policy is invariant under, so the estimates (and the eval accounting)
-    are identical; PLRU and MRU fall back to the generic exploration.
+(** The exploration is sequential and stops a depth at its first
+    counterexample; a depth that holds sweeps every initial state. Evals
+    count the accesses actually stepped. [engine] is accepted for callers
+    that pass one and ignored: there is one explorer.
     @raise Invalid_argument on geometries the policy cannot represent. *)
 
 val fill :
-  ?jobs:int -> ?engine:Quantify.engine ->
+  ?engine:Quantify.engine ->
   Cache.Policy.kind -> ways:int -> max_probes:int -> estimate

@@ -220,7 +220,7 @@ let prop_fifo_eviction_is_insertion_order =
 let test_enumerate_full_states () =
   let blocks = [ 1; 2; 3 ] in
   let count kind ways =
-    List.length (Cache.Policy.enumerate_full_states kind ~ways ~blocks)
+    Seq.length (Cache.Policy.enumerate_full_states kind ~ways ~blocks)
   in
   Alcotest.(check int) "LRU 2-way from 3 blocks: 3P2" 6 (count Cache.Policy.Lru 2);
   Alcotest.(check int) "FIFO 2-way" 6 (count Cache.Policy.Fifo 2);
@@ -228,6 +228,90 @@ let test_enumerate_full_states () =
   Alcotest.(check int) "MRU 2-way: 3P2 * 3 bit patterns" 18 (count Cache.Policy.Mru 2);
   Alcotest.(check int) "RR 2-way: 3P2 * 2 pointers" 12
     (count Cache.Policy.Round_robin 2)
+
+(* --- Policy: behavioural equality ---------------------------------------- *)
+
+let replay kind ~ways trace =
+  snd (access_all (Cache.Policy.init kind ~ways) trace)
+
+let hit_string state trace =
+  let marks, _ =
+    List.fold_left
+      (fun (marks, s) tag ->
+         let hit, s = Cache.Policy.access s tag in
+         ((if hit then 'h' else 'm') :: marks, s))
+      ([], state) trace
+  in
+  String.of_seq (List.to_seq (List.rev marks))
+
+let check_equal name expected a b =
+  Alcotest.(check bool) (name ^ ": structurally different") true
+    (Cache.Policy.pack a <> Cache.Policy.pack b);
+  Alcotest.(check bool) name expected (Cache.Policy.equal a b)
+
+let test_equal_plru_mirror () =
+  (* After [1;2;3;4] the (1,2) half is the left subtree and the root bit
+     points at it; after [3;4;1;2;4] it is the right subtree and the root
+     bit points at it: the same tree mirrored at the root. *)
+  check_equal "mirrored PLRU trees" true
+    (replay Cache.Policy.Plru ~ways:4 [ 1; 2; 3; 4 ])
+    (replay Cache.Policy.Plru ~ways:4 [ 3; 4; 1; 2; 4 ])
+
+let test_equal_rr_rotation () =
+  (* Both rings evict 1, 2, 3, 4 in that order; the second is stored one
+     slot rotated, with its pointer one slot on. *)
+  check_equal "rotated RR rings" true
+    (replay Cache.Policy.Round_robin ~ways:4 [ 1; 2; 3; 4 ])
+    (replay Cache.Policy.Round_robin ~ways:4 [ 9; 1; 2; 3; 4 ])
+
+let test_equal_lru_order () =
+  check_equal "LRU recency orders differ" false
+    (replay Cache.Policy.Lru ~ways:2 [ 1; 2 ])
+    (replay Cache.Policy.Lru ~ways:2 [ 2; 1 ])
+
+(* Every state reachable from the empty set over blocks 0 .. ways. *)
+let reachable kind ~ways =
+  let seen = Hashtbl.create 256 in
+  let rec go acc = function
+    | [] -> List.rev acc
+    | s :: rest ->
+      let next =
+        List.filter_map
+          (fun b ->
+             let _, s' = Cache.Policy.access s b in
+             let key = Cache.Policy.pack s' in
+             if Hashtbl.mem seen key then None
+             else begin
+               Hashtbl.add seen key ();
+               Some s'
+             end)
+          (List.init (ways + 1) Fun.id)
+      in
+      go (s :: acc) (rest @ next)
+  in
+  let s0 = Cache.Policy.init kind ~ways in
+  Hashtbl.add seen (Cache.Policy.pack s0) ();
+  Array.of_list (go [] [ s0 ])
+
+let reachable_sets =
+  List.concat_map
+    (fun kind -> List.map (fun ways -> reachable kind ~ways) [ 2; 4 ])
+    Cache.Policy.all_kinds
+  |> Array.of_list
+
+let prop_equal_is_behavioural =
+  (* Accesses range over blocks 0..5: resident ones and fresh ones. *)
+  QCheck.Test.make
+    ~name:"equal states give identical hit/miss strings" ~count:200
+    QCheck.(triple (int_bound (Array.length reachable_sets - 1)) (int_bound 10_000)
+              (list_of_size (Gen.int_range 1 24) (int_range 0 5)))
+    (fun (set, pick, trace) ->
+       let states = reachable_sets.(set) in
+       let a = states.(pick mod Array.length states) in
+       Array.for_all
+         (fun b ->
+            (not (Cache.Policy.equal a b)) || hit_string a trace = hit_string b trace)
+         states)
 
 (* --- Set_assoc --------------------------------------------------------- *)
 
@@ -392,6 +476,14 @@ let () =
          QCheck_alcotest.to_alcotest prop_fifo_eviction_is_insertion_order;
          Alcotest.test_case "state enumeration sizes" `Quick
            test_enumerate_full_states ]);
+      ("policy equality",
+       [ QCheck_alcotest.to_alcotest prop_equal_is_behavioural;
+         Alcotest.test_case "mirrored PLRU trees are equal" `Quick
+           test_equal_plru_mirror;
+         Alcotest.test_case "rotated RR rings are equal" `Quick
+           test_equal_rr_rotation;
+         Alcotest.test_case "LRU recency orders are unequal" `Quick
+           test_equal_lru_order ]);
       ("set_assoc",
        [ Alcotest.test_case "address mapping" `Quick test_set_assoc_mapping;
          Alcotest.test_case "line granularity" `Quick test_set_assoc_line_hit;

@@ -221,14 +221,30 @@ let test_metrics_published_values () =
     (Predictability.Cache_metrics.evict Cache.Policy.Round_robin ~ways:2
        ~max_probes:8)
 
-let test_metrics_plru_fill_unbounded () =
-  match
-    Predictability.Cache_metrics.fill Cache.Policy.Plru ~ways:4 ~max_probes:10
-  with
-  | Predictability.Cache_metrics.Beyond n ->
-    Alcotest.(check int) "beyond the probe budget" 10 n
-  | Predictability.Cache_metrics.Exact n ->
-    Alcotest.failf "PLRU fill should exceed the budget, got %d" n
+let test_metrics_plru_fill () =
+  (* Reineke et al.: PLRU fill = k/2 * log2 k + k - 1. Final states are
+     compared behaviourally, so mirrored trees count as one state. *)
+  exact_estimate "PLRU fill k=2" 2
+    (Predictability.Cache_metrics.fill Cache.Policy.Plru ~ways:2 ~max_probes:8);
+  exact_estimate "PLRU fill k=4" 7
+    (Predictability.Cache_metrics.fill Cache.Policy.Plru ~ways:4 ~max_probes:10)
+
+let test_metrics_evals () =
+  (* LRU k=2, blocks -1 -2 (old) and probes 1..j. Depth 1: the first of the
+     3P2 initial states, [-1; -2], steps once to [1; -1] and keeps old block
+     -1, so the depth fails after 1 eval. Depth 2: all 4P2 = 12 initial
+     states end as [2; 1], each after 2 steps: 24 evals. Fill sees the same
+     finals (one structural final, so no behavioural comparison). Each
+     search: 1 + 24 = 25. *)
+  let evals search =
+    let before = Prelude.Instrument.snapshot () in
+    ignore (search Cache.Policy.Lru ~ways:2 ~max_probes:8);
+    (Prelude.Instrument.snapshot ()).evals - before.evals
+  in
+  Alcotest.(check int) "LRU k=2 evict evals" 25
+    (evals (fun kind -> Predictability.Cache_metrics.evict kind));
+  Alcotest.(check int) "LRU k=2 fill evals" 25
+    (evals (fun kind -> Predictability.Cache_metrics.fill kind))
 
 let test_domino_nonlinear_no_rates () =
   (* Quadratic growth: divergent but with no steady per-iteration rate. *)
@@ -511,10 +527,12 @@ let () =
       ("cache-metrics",
        [ Alcotest.test_case "LRU optimal" `Quick test_metrics_lru;
          Alcotest.test_case "FIFO 2k-1" `Quick test_metrics_fifo;
-         Alcotest.test_case "published values (PLRU/MRU/FIFO/RR)" `Slow
+         Alcotest.test_case "published values (PLRU/MRU/FIFO/RR)" `Quick
            test_metrics_published_values;
-         Alcotest.test_case "PLRU fill unbounded" `Slow
-           test_metrics_plru_fill_unbounded;
+         Alcotest.test_case "PLRU fill k/2 log2 k + k - 1" `Quick
+           test_metrics_plru_fill;
+         Alcotest.test_case "evals count the steps taken" `Quick
+           test_metrics_evals;
          Alcotest.test_case "LRU minimal" `Quick test_metrics_ordering;
          Alcotest.test_case "estimate rendering" `Quick
            test_metrics_estimate_rendering ]);

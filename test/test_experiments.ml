@@ -6,7 +6,7 @@
 let experiment_case (id, title, runner) =
   let speed =
     match id with
-    | "FIG1" | "FIG1.SOUND" | "RW.CACHE" | "TAB1.R7" -> `Slow
+    | "FIG1" | "FIG1.SOUND" | "TAB1.R7" -> `Slow
     | _ -> `Quick
   in
   Alcotest.test_case (id ^ ": " ^ title) speed (fun () ->

@@ -116,7 +116,8 @@ let test_policy_pack_injective () =
     (fun kind ->
        let ways = if kind = Cache.Policy.Plru then 4 else 3 in
        let states =
-         Cache.Policy.enumerate_full_states kind ~ways ~blocks:[ 1; 2; 3; 4 ]
+         List.of_seq
+           (Cache.Policy.enumerate_full_states kind ~ways ~blocks:[ 1; 2; 3; 4 ])
        in
        let keys = List.map Cache.Policy.pack states in
        let distinct = Prelude.Listx.uniq Stdlib.compare keys in
@@ -507,41 +508,60 @@ let test_quantify_batched_validation () =
          Predictability.Quantify.evaluate_timer ~engine:`Fast ~states:[ 0 ]
            ~inputs:[ 0; 1 ] negative))
 
-(* --- Cache_metrics packed exploration ------------------------------------ *)
+(* --- Cache_metrics against a brute-force sweep ------------------------- *)
 
-let test_cache_metrics_engines_agree () =
+(* The metric's definition read literally: at every depth push every
+   initial state through the probes, keep every final, and test them all
+   (no old block resident; for fill, every final [Policy.equal] to the
+   first). The explorer must give the same estimate. *)
+let brute_force ~fill kind ~ways ~max_probes =
+  let olds = List.init ways (fun i -> -(i + 1)) in
+  let holds j =
+    let probes = List.init j (fun i -> i + 1) in
+    let initial =
+      List.of_seq
+        (Cache.Policy.enumerate_full_states kind ~ways ~blocks:(olds @ probes))
+    in
+    let finals =
+      List.map
+        (fun s ->
+           List.fold_left (fun s p -> snd (Cache.Policy.access s p)) s probes)
+        initial
+    in
+    List.for_all
+      (fun s -> not (List.exists (Cache.Policy.resident s) olds))
+      finals
+    && ((not fill)
+        || match finals with
+        | [] -> true
+        | first :: rest -> List.for_all (Cache.Policy.equal first) rest)
+  in
+  let rec go j =
+    if j > max_probes then Predictability.Cache_metrics.Beyond max_probes
+    else if holds j then Predictability.Cache_metrics.Exact j
+    else go (j + 1)
+  in
+  go 1
+
+let test_cache_metrics_vs_brute_force () =
   List.iter
     (fun kind ->
        List.iter
          (fun ways ->
             let max_probes = (2 * ways) + 2 in
-            let exact_evict =
-              Predictability.Cache_metrics.evict ~jobs:1 kind ~ways ~max_probes
+            let check name explorer ~fill =
+              Alcotest.(check string)
+                (Printf.sprintf "%s ways=%d %s"
+                   (Cache.Policy.kind_name kind) ways name)
+                (Predictability.Cache_metrics.estimate_to_string
+                   (brute_force ~fill kind ~ways ~max_probes))
+                (Predictability.Cache_metrics.estimate_to_string
+                   (explorer kind ~ways ~max_probes))
             in
-            let fast_evict =
-              Predictability.Cache_metrics.evict ~jobs:1 ~engine:`Fast kind
-                ~ways ~max_probes
-            in
-            let exact_fill =
-              Predictability.Cache_metrics.fill ~jobs:1 kind ~ways ~max_probes
-            in
-            let fast_fill =
-              Predictability.Cache_metrics.fill ~jobs:1 ~engine:`Fast kind
-                ~ways ~max_probes
-            in
-            Alcotest.(check string)
-              (Printf.sprintf "%s ways=%d evict"
-                 (Cache.Policy.kind_name kind) ways)
-              (Predictability.Cache_metrics.estimate_to_string exact_evict)
-              (Predictability.Cache_metrics.estimate_to_string fast_evict);
-            Alcotest.(check string)
-              (Printf.sprintf "%s ways=%d fill"
-                 (Cache.Policy.kind_name kind) ways)
-              (Predictability.Cache_metrics.estimate_to_string exact_fill)
-              (Predictability.Cache_metrics.estimate_to_string fast_fill))
+            check "evict" (fun k -> Predictability.Cache_metrics.evict k) ~fill:false;
+            check "fill" (fun k -> Predictability.Cache_metrics.fill k) ~fill:true)
          (if kind = Cache.Policy.Plru then [ 2; 4 ] else [ 2; 3 ]))
-    [ Cache.Policy.Lru; Cache.Policy.Fifo; Cache.Policy.Round_robin;
-      Cache.Policy.Plru; Cache.Policy.Mru ]
+    Cache.Policy.all_kinds
 
 let () =
   Alcotest.run "fastpath"
@@ -574,5 +594,5 @@ let () =
          Alcotest.test_case "batched validation" `Quick
            test_quantify_batched_validation ]);
       ("cache-metrics",
-       [ Alcotest.test_case "packed = generic exploration" `Quick
-           test_cache_metrics_engines_agree ]) ]
+       [ Alcotest.test_case "explorer = brute-force sweep" `Quick
+           test_cache_metrics_vs_brute_force ]) ]

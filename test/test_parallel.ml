@@ -1,7 +1,7 @@
 (* Tests for the parallel T_p(q,i) evaluation engine: Parallel.map/fold
    semantics, exception propagation out of worker domains, and bit-identical
    results at any job count for the quantities built on top of it
-   (Quantify, Cache_metrics, Experiments.run_all). *)
+   (Quantify, Wcet, Experiments.run_all). *)
 
 let prop_map_matches_list_map =
   QCheck.Test.make ~name:"Parallel.map ~jobs f = List.map f" ~count:60
@@ -116,34 +116,6 @@ let test_quantify_determinism () =
          times1
          (Predictability.Quantify.times (matrix jobs)))
     job_counts
-
-let test_cache_metrics_determinism () =
-  let estimate_to_pair = function
-    | Predictability.Cache_metrics.Exact n -> (true, n)
-    | Predictability.Cache_metrics.Beyond n -> (false, n)
-  in
-  List.iter
-    (fun kind ->
-       let reference =
-         (Predictability.Cache_metrics.evict ~jobs:1 kind ~ways:2 ~max_probes:8,
-          Predictability.Cache_metrics.fill ~jobs:1 kind ~ways:2 ~max_probes:8)
-       in
-       List.iter
-         (fun jobs ->
-            let got =
-              (Predictability.Cache_metrics.evict ~jobs kind ~ways:2
-                 ~max_probes:8,
-               Predictability.Cache_metrics.fill ~jobs kind ~ways:2
-                 ~max_probes:8)
-            in
-            Alcotest.(check (pair (pair bool int) (pair bool int)))
-              (Printf.sprintf "%s evict/fill (jobs=%d)"
-                 (Cache.Policy.kind_name kind) jobs)
-              (estimate_to_pair (fst reference), estimate_to_pair (snd reference))
-              (estimate_to_pair (fst got), estimate_to_pair (snd got)))
-         job_counts)
-    [ Cache.Policy.Lru; Cache.Policy.Fifo; Cache.Policy.Plru;
-      Cache.Policy.Mru; Cache.Policy.Round_robin ]
 
 let test_wcet_bracket_determinism () =
   let w = Isa.Workload.fir ~taps:3 ~samples:4 in
@@ -264,8 +236,6 @@ let () =
            test_quantify_determinism;
          Alcotest.test_case "TAB1.R2 signature count jobs 1/2/8" `Quick
            test_superscalar_signatures_deterministic;
-         Alcotest.test_case "Cache_metrics evict/fill jobs 1/2/8" `Quick
-           test_cache_metrics_determinism;
          Alcotest.test_case "Wcet.bracket jobs 1/2/8" `Quick
            test_wcet_bracket_determinism;
          Alcotest.test_case "run_all jobs 1 vs 4 bit-identical" `Slow
