@@ -99,6 +99,15 @@ let stratified_estimate ~rng ~spec strata =
   let n = Array.fold_left (fun acc s -> acc + Array.length s) 0 strata in
   Estimate.of_replicates ~confidence:spec.confidence ~n ~value replicates
 
+(* [Parallel.map_array], keeping the documented [Invalid_argument] for a
+   rejected cell: when several workers reject a cell at once the pool
+   raises [Multiple_failures] instead, and whether it does depends on
+   scheduling. *)
+let map_cells ?jobs f xs =
+  try Prelude.Parallel.map_array ?jobs f xs
+  with Prelude.Parallel.Multiple_failures { first = Invalid_argument _ as e; _ }
+    -> raise e
+
 let run ?jobs ~spec ~n_states ~n_inputs ~time () =
   validate spec;
   if n_states <= 0 then invalid_arg "Sampler.run: n_states must be positive";
@@ -112,7 +121,7 @@ let run ?jobs ~spec ~n_states ~n_inputs ~time () =
      identity, and Parallel.map_array delivers results by input index —
      the two halves of the cross-jobs determinism guarantee. *)
   let cells =
-    Prelude.Parallel.map_array ?jobs
+    map_cells ?jobs
       (fun k ->
          let rng = Prelude.Rng.split_key cell_master k in
          let q = Prelude.Rng.int rng n_states in
@@ -124,7 +133,7 @@ let run ?jobs ~spec ~n_states ~n_inputs ~time () =
   (* Stratified draws: SIPr enumerates every input and samples states
      within it; IIPr enumerates every state and samples inputs. *)
   let sipr_strata =
-    Prelude.Parallel.map_array ?jobs
+    map_cells ?jobs
       (fun i ->
          let rng = Prelude.Rng.split_key sipr_master i in
          Array.init spec.per_stratum (fun _ ->
@@ -132,7 +141,7 @@ let run ?jobs ~spec ~n_states ~n_inputs ~time () =
       (Array.init n_inputs Fun.id)
   in
   let iipr_strata =
-    Prelude.Parallel.map_array ?jobs
+    map_cells ?jobs
       (fun q ->
          let rng = Prelude.Rng.split_key iipr_master q in
          Array.init spec.per_stratum (fun _ ->

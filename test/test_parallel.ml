@@ -1,7 +1,7 @@
 (* Tests for the parallel T_p(q,i) evaluation engine: Parallel.map/fold
    semantics, exception propagation out of worker domains, and bit-identical
    results at any job count for the quantities built on top of it
-   (Quantify, Wcet, Experiments.run_all). *)
+   (Quantify, Cache_metrics, Wcet, Experiments.run_all). *)
 
 let prop_map_matches_list_map =
   QCheck.Test.make ~name:"Parallel.map ~jobs f = List.map f" ~count:60
@@ -115,6 +115,30 @@ let test_quantify_determinism () =
          (Printf.sprintf "matrix row-major times (jobs=%d)" jobs)
          times1
          (Predictability.Quantify.times (matrix jobs)))
+    job_counts
+
+(* RW.CACHE runs Cache_metrics on a pool worker under run_all. The
+   explorer is sequential, but concurrent calls from several domains must
+   still agree with a call on the main domain: no state is shared between
+   explorations. *)
+let test_cache_metrics_on_workers () =
+  let kinds =
+    [ Cache.Policy.Lru; Cache.Policy.Fifo; Cache.Policy.Plru;
+      Cache.Policy.Mru; Cache.Policy.Round_robin ]
+  in
+  let metrics kind =
+    (Predictability.Cache_metrics.estimate_to_string
+       (Predictability.Cache_metrics.evict kind ~ways:2 ~max_probes:8),
+     Predictability.Cache_metrics.estimate_to_string
+       (Predictability.Cache_metrics.fill kind ~ways:2 ~max_probes:8))
+  in
+  let reference = List.map metrics kinds in
+  List.iter
+    (fun jobs ->
+       Alcotest.(check (list (pair string string)))
+         (Printf.sprintf "evict/fill per policy (jobs=%d)" jobs)
+         (reference @ reference)
+         (Prelude.Parallel.map ~jobs metrics (kinds @ kinds)))
     job_counts
 
 let test_wcet_bracket_determinism () =
@@ -236,6 +260,8 @@ let () =
            test_quantify_determinism;
          Alcotest.test_case "TAB1.R2 signature count jobs 1/2/8" `Quick
            test_superscalar_signatures_deterministic;
+         Alcotest.test_case "Cache_metrics evict/fill on pool workers"
+           `Quick test_cache_metrics_on_workers;
          Alcotest.test_case "Wcet.bracket jobs 1/2/8" `Quick
            test_wcet_bracket_determinism;
          Alcotest.test_case "run_all jobs 1 vs 4 bit-identical" `Slow
