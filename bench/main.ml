@@ -244,11 +244,11 @@ let wcet_config =
 (* Each kernel records its evaluation engine ("exact" | "fast") and the
    worker-domain count its closure uses — both land in the per-kernel JSON
    (schema v2), so trajectory points are comparable like for like. Kernels
-   that fan out on the default pool record the bench-wide [jobs]; everything
-   else runs on the calling domain (jobs = 1). The FIG1 and EXT.EXTENT fast
-   kernels keep the historical names — `predlab compare` then reports their
-   speedup against the exact baseline — with `_exact` twins pinning the old
-   path. *)
+   run on the calling domain (jobs = 1) unless they spawn their own
+   domains, like SERVE/concurrent_throughput. The FIG1 fast kernel keeps
+   the historical name — `predlab compare` then reports its speedup
+   against the exact baseline — with an `_exact` twin pinning the
+   reference interpreter. *)
 type kernel_spec = {
   k_name : string;
   k_engine : string;
@@ -256,7 +256,7 @@ type kernel_spec = {
   k_test : Test.t;
 }
 
-let kernel_specs jobs =
+let kernel_specs () =
   let stage ?(engine = "exact") ?(kjobs = 1) name f =
     { k_name = "predlab/" ^ name; k_engine = engine; k_jobs = kjobs;
       k_test = Test.make ~name (Staged.stage f) }
@@ -384,12 +384,7 @@ let kernel_specs jobs =
           [ Predictability.Composition.component ~label:"a" ~bcet:70 ~wcet:124;
             Predictability.Composition.component ~label:"b" ~bcet:88 ~wcet:142;
             Predictability.Composition.component ~label:"c" ~bcet:124 ~wcet:152 ]);
-    stage ~engine:"fast" "EXT.EXTENT/profile" (fun () ->
-        Predictability.Extent.profile ~engine:`Fast ~states:[ 0; 1; 2 ]
-          ~inputs:[ 0; 1; 2; 3 ]
-          ~time:(fun q i -> 10 + q + (2 * i))
-          ~cuts:[ ("a", 1, 1); ("b", 2, 2); ("c", 3, 4) ] ());
-    stage ~kjobs:jobs "EXT.EXTENT/profile_exact" (fun () ->
+    stage "EXT.EXTENT/profile" (fun () ->
         Predictability.Extent.profile ~states:[ 0; 1; 2 ] ~inputs:[ 0; 1; 2; 3 ]
           ~time:(fun q i -> 10 + q + (2 * i))
           ~cuts:[ ("a", 1, 1); ("b", 2, 2); ("c", 3, 4) ] ());
@@ -411,9 +406,9 @@ let kernel_specs jobs =
         Analysis.Wcet.bound { wcet_config with Analysis.Wcet.budget = Some 1 }
           Analysis.Wcet.Upper ~shapes:wcet_fixture ~entry:"main") ]
 
-let run_microbenchmarks ?only jobs =
+let run_microbenchmarks ?only () =
   print_endline "--- Part 2: Bechamel microbenchmarks (ns per run) ---";
-  let specs = kernel_specs jobs in
+  let specs = kernel_specs () in
   let specs =
     match only with
     | None -> specs
@@ -609,7 +604,7 @@ let () =
   let jobs, json_file, only = parse_args () in
   (match only with
    | Some substr ->
-     ignore (run_microbenchmarks ~only:substr jobs);
+     ignore (run_microbenchmarks ~only:substr ());
      exit 0
    | None -> ());
   let started = Prelude.Mono.now () in
@@ -639,7 +634,7 @@ let () =
     (List.length results);
   let speedups = run_speedup_suite jobs in
   print_newline ();
-  let kernels = run_microbenchmarks jobs in
+  let kernels = run_microbenchmarks () in
   (* Fast-engine gate: benchmarking with the fast path is only meaningful
      while the FIG1.FAST equivalence oracle holds — a fast kernel without a
      passing oracle in the same run is an unvalidated number. *)

@@ -431,14 +431,31 @@ let survey () =
 
 open Cmdliner
 
-let positive_int =
+(* [base] restricted to the values [ok] accepts; any other parsed value is
+   rejected with [message v]. *)
+let checked base ok message =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 1 -> Ok n
-    | Ok n -> Error (`Msg (Printf.sprintf "%d is not a positive job count" n))
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok v -> Error (`Msg (message v))
     | Error _ as e -> e
   in
-  Arg.conv (parse, Arg.conv_printer Arg.int)
+  Arg.conv (parse, Arg.conv_printer base)
+
+let positive_int =
+  checked Arg.int
+    (fun n -> n >= 1)
+    (Printf.sprintf "%d is not a positive job count")
+
+let positive_float what =
+  checked Arg.float
+    (fun d -> d > 0.)
+    (fun d -> Printf.sprintf "%g is not a positive %s" d what)
+
+let nonneg_int what =
+  checked Arg.int
+    (fun n -> n >= 0)
+    (fun n -> Printf.sprintf "%d is a negative %s" n what)
 
 let jobs_arg =
   Arg.(value
@@ -458,17 +475,8 @@ let format_arg =
                  compare)).")
 
 let deadline_arg =
-  let positive_float =
-    let parse s =
-      match Arg.conv_parser Arg.float s with
-      | Ok d when d > 0. -> Ok d
-      | Ok d -> Error (`Msg (Printf.sprintf "%g is not a positive deadline" d))
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.float)
-  in
   Arg.(value
-       & opt (some positive_float) None
+       & opt (some (positive_float "deadline")) None
        & info [ "deadline" ] ~docv:"SEC"
            ~doc:"Cooperative per-attempt budget in seconds: an experiment \
                  observed past it (at a parallel-loop checkpoint, or when \
@@ -476,17 +484,8 @@ let deadline_arg =
                  of crashing the batch.")
 
 let retries_arg =
-  let nonneg_int =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok n when n >= 0 -> Ok n
-      | Ok n -> Error (`Msg (Printf.sprintf "%d is a negative retry count" n))
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.int)
-  in
   Arg.(value
-       & opt nonneg_int 0
+       & opt (nonneg_int "retry count") 0
        & info [ "retries" ] ~docv:"N"
            ~doc:"Extra attempts after a crash or deadline overrun, with \
                  bounded exponential backoff (50 ms base, 1 s cap). The \
@@ -602,17 +601,12 @@ let stats_cmd =
 
 let compare_cmd =
   let tolerance_arg =
-    let nonneg =
-      let parse s =
-        match Arg.conv_parser Arg.float s with
-        | Ok t when t >= 0. -> Ok t
-        | Ok t -> Error (`Msg (Printf.sprintf "%g is a negative tolerance" t))
-        | Error _ as e -> e
-      in
-      Arg.conv (parse, Arg.conv_printer Arg.float)
-    in
     Arg.(value
-         & opt nonneg 50.
+         & opt
+             (checked Arg.float
+                (fun t -> t >= 0.)
+                (Printf.sprintf "%g is a negative tolerance"))
+             50.
          & info [ "tolerance" ] ~docv:"PCT"
              ~doc:"Allowed slowdown in percent before a timing counts as a \
                    regression (default 50, i.e. up to 1.5x baseline is \
@@ -736,14 +730,9 @@ let sample_cmd =
   in
   let confidence_arg =
     let conf =
-      let parse s =
-        match Arg.conv_parser Arg.float s with
-        | Ok c when c > 0. && c < 1. -> Ok c
-        | Ok c ->
-          Error (`Msg (Printf.sprintf "%g is not a confidence in (0, 1)" c))
-        | Error _ as e -> e
-      in
-      Arg.conv (parse, Arg.conv_printer Arg.float)
+      checked Arg.float
+        (fun c -> c > 0. && c < 1.)
+        (Printf.sprintf "%g is not a confidence in (0, 1)")
     in
     Arg.(value
          & opt conf Sampling.Sampler.default.Sampling.Sampler.confidence
@@ -806,17 +795,8 @@ let serve_cmd =
                    are served concurrently (default 4).")
   in
   let queue_arg =
-    let nonneg =
-      let parse s =
-        match Arg.conv_parser Arg.int s with
-        | Ok n when n >= 0 -> Ok n
-        | Ok n -> Error (`Msg (Printf.sprintf "%d is a negative bound" n))
-        | Error _ as e -> e
-      in
-      Arg.conv (parse, Arg.conv_printer Arg.int)
-    in
     Arg.(value
-         & opt nonneg Serve.Daemon.default_queue
+         & opt (nonneg_int "bound") Serve.Daemon.default_queue
          & info [ "queue" ] ~docv:"N"
              ~doc:"Pending-connection queue bound: connections past it \
                    (while every worker is busy) are shed with the \
@@ -848,17 +828,8 @@ let serve_cmd =
                    indefinitely. 0 disables reaping (default 30).")
   in
   let drain_arg =
-    let positive_float =
-      let parse s =
-        match Arg.conv_parser Arg.float s with
-        | Ok d when d > 0. -> Ok d
-        | Ok d -> Error (`Msg (Printf.sprintf "%g is not a positive budget" d))
-        | Error _ as e -> e
-      in
-      Arg.conv (parse, Arg.conv_printer Arg.float)
-    in
     Arg.(value
-         & opt positive_float Serve.Daemon.default_drain_s
+         & opt (positive_float "budget") Serve.Daemon.default_drain_s
          & info [ "drain" ] ~docv:"SEC"
              ~doc:"Graceful-drain budget: on shutdown/SIGTERM/SIGINT, how \
                    long in-flight connections get to finish before being \
@@ -890,24 +861,19 @@ let serve_cmd =
 let query_cmd =
   let connect_timeout_arg =
     Arg.(value
-         & opt float 5.
+         & opt
+             (checked Arg.float
+                (fun d -> d >= 0.)
+                (Printf.sprintf "%g is not a non-negative timeout"))
+             5.
          & info [ "connect-timeout" ] ~docv:"SEC"
              ~doc:"Keep retrying a refused connection for up to SEC \
                    seconds — covers the daemon's startup window in \
                    scripts.")
   in
   let timeout_arg =
-    let positive_float =
-      let parse s =
-        match Arg.conv_parser Arg.float s with
-        | Ok d when d > 0. -> Ok d
-        | Ok d -> Error (`Msg (Printf.sprintf "%g is not a positive budget" d))
-        | Error _ as e -> e
-      in
-      Arg.conv (parse, Arg.conv_printer Arg.float)
-    in
     Arg.(value
-         & opt (some positive_float) None
+         & opt (some (positive_float "budget")) None
          & info [ "timeout" ] ~docv:"SEC"
              ~doc:"Round-trip budget against a connected daemon: if no \
                    complete response line arrives within SEC seconds \

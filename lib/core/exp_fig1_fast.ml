@@ -1,6 +1,6 @@
 (* FIG1.FAST — the fast-path equivalence oracle, machine-checked per
    workload: the compositional fast-path engine (block summaries, packed
-   replay, memoized cells, lockstep batch rows) must reproduce the exact
+   replay, memoized cells) must reproduce the exact
    cycle-accurate T_p(q,i) matrix bit for bit — for every registry
    workload, at jobs 1/2/4/8, with the memo table on and off, and again on
    a warm memo. Any fast-path shortcut that changes a single cell turns
@@ -33,7 +33,7 @@ let measure (name, make) =
       | Some t -> t
       | None -> Harness.inorder_timer ~engine:`Fast ~memo program
     in
-    (Quantify.evaluate_timer ~jobs ~engine:`Fast ~states ~inputs timer, timer)
+    (Quantify.evaluate_timer ~jobs ~states ~inputs timer, timer)
   in
   let engines_agree, warm_agree =
     List.fold_left

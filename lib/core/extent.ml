@@ -7,7 +7,7 @@ type 'a level = {
   iipr : Prelude.Ratio.t;
 }
 
-let profile ?jobs ?(engine = `Exact) ~states ~inputs ~time ~cuts () =
+let profile ?jobs ~states ~inputs ~time ~cuts () =
   if states = [] then invalid_arg "Extent.profile: empty state set";
   if inputs = [] then invalid_arg "Extent.profile: empty input set";
   if cuts = [] then invalid_arg "Extent.profile: no cuts";
@@ -16,7 +16,7 @@ let profile ?jobs ?(engine = `Exact) ~states ~inputs ~time ~cuts () =
     let state_count = clamp n_states (List.length states) in
     let input_count = clamp n_inputs (List.length inputs) in
     let matrix =
-      Quantify.evaluate_timer ?jobs ~engine
+      Quantify.evaluate_timer ?jobs
         ~states:(Prelude.Listx.take state_count states)
         ~inputs:(Prelude.Listx.take input_count inputs)
         (Quantify.Scalar time)

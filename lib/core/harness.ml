@@ -51,9 +51,7 @@ let inorder_timer ?(engine = `Exact) ?(memo = true) program =
   match engine with
   | `Exact -> Quantify.Scalar (inorder_time program)
   | `Fast ->
-    let eng = Fastpath.Engine.create ~memo program in
-    Quantify.Batched
-      { scalar = Fastpath.Engine.time eng; row = Fastpath.Engine.row eng }
+    Quantify.Scalar (Fastpath.Engine.time (Fastpath.Engine.create ~memo program))
 
 let outcomes program inputs = List.map (Isa.Exec.run program) inputs
 

@@ -35,10 +35,10 @@ val inorder_timer :
   ?engine:Quantify.engine -> ?memo:bool -> Isa.Program.t ->
   (Pipeline.Inorder.state, Isa.Exec.input) Quantify.timer
 (** The in-order [T_p] as a {!Quantify.timer}. [`Exact] (default) wraps
-    {!inorder_time}; [`Fast] builds a {!Fastpath.Engine} (one per call —
-    reuse the timer across evaluations to share its caches) whose batched
-    rows produce bit-identical times. [memo] (default true) enables the
-    engine's [T_p] memo table. *)
+    {!inorder_time}, the reference interpreter FIG1.FAST checks against;
+    [`Fast] builds a {!Fastpath.Engine} (one per call — reuse the timer
+    across evaluations to share its caches) whose times are bit-identical.
+    [memo] (default true) enables the engine's [T_p] memo table. *)
 
 val outcomes : Isa.Program.t -> Isa.Exec.input list -> Isa.Exec.outcome list
 (** Functional executions of all inputs (shared by trace-driven models). *)

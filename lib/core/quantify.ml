@@ -2,82 +2,62 @@ type matrix = int array array  (* indexed [state][input] *)
 
 type engine = [ `Exact | `Fast ]
 
-type ('q, 'i) timer =
-  | Scalar of ('q -> 'i -> int)
-  | Batched of {
-      scalar : 'q -> 'i -> int;
-      row : 'q -> 'i array -> int array;
-    }
+type ('q, 'i) timer = Scalar of ('q -> 'i -> int)
 
-let timer_scalar = function
-  | Scalar time -> time
-  | Batched { scalar; _ } -> scalar
+let timer_scalar (Scalar time) = time
 
-(* Below this many cells a `Fast evaluation stays on the calling domain:
-   the per-call pool spawn/join costs milliseconds, which dwarfs the cells
+(* Below this many cells a matrix stays on the calling domain: the
+   per-call pool spawn/join costs milliseconds, which dwarfs the cells
    themselves on small matrices (all of Extent.profile's cuts). The values
-   are engine-independent either way. *)
+   are the same either way. *)
 let inline_cells = 2048
 
-let evaluate_timer ?jobs ?(engine = `Exact) ~states ~inputs timer =
+let evaluate_timer ?jobs ?engine:_ ~states ~inputs (Scalar time) =
   if states = [] then invalid_arg "Quantify.evaluate: empty state set";
   if inputs = [] then invalid_arg "Quantify.evaluate: empty input set";
   let inputs = Array.of_list inputs in
   let states = Array.of_list states in
-  let check t =
-    if t <= 0 then
-      invalid_arg "Quantify.evaluate: execution times must be positive"
-  in
   (* Validation happens in place on the worker's own result — one pass over
      freshly produced cells, no second sweep or copy on the caller. *)
   let row q =
-    match timer with
-    | Scalar time ->
-      Array.map
-        (fun i ->
-           let t = time q i in
-           check t;
-           t)
-        inputs
-    | Batched { row; _ } ->
-      let r = row q inputs in
-      if Array.length r <> Array.length inputs then
-        invalid_arg "Quantify.evaluate: batched row has wrong width";
-      Array.iter check r;
-      r
+    Array.map
+      (fun i ->
+         let t = time q i in
+         if t <= 0 then
+           invalid_arg "Quantify.evaluate: execution times must be positive";
+         t)
+      inputs
   in
   let cells = Array.length states * Array.length inputs in
   (* Rows of the T_p(q, i) matrix are independent: evaluate them across the
      domain pool. Ordering (and thus every min/max below) is deterministic
-     for any job count — and for either engine. *)
+     for any job count, inline or pooled. *)
   let m =
-    match engine with
-    | `Fast when cells < inline_cells ->
+    if cells < inline_cells then
       Array.map
         (fun q ->
            Prelude.Parallel.check_deadline ();
            row q)
         states
-    | `Exact | `Fast -> Prelude.Parallel.map_array ?jobs row states
+    else Prelude.Parallel.map_array ?jobs row states
   in
   Prelude.Instrument.add_cells cells;
   Prelude.Instrument.add_evals cells;
   m
 
 let evaluate ?jobs ~states ~inputs ~time () =
-  evaluate_timer ?jobs ~engine:`Exact ~states ~inputs (Scalar time)
+  evaluate_timer ?jobs ~states ~inputs (Scalar time)
 
 (* Sampled evaluation: estimate the quantities from a seeded subset of
    cells instead of materialising Q x I. The timer's scalar is used per
-   sampled cell — with a [`Fast] timer (Harness.inorder_timer) that is
+   sampled cell — with a [`Fast] Harness.inorder_timer that is
    the fast-path engine, whose memo table turns the with-replacement
    draws' repeats into hits. *)
-let sample ?jobs ~spec ~states ~inputs timer =
+let sample ?jobs ~spec ~states ~inputs (Scalar scalar) =
   if states = [] then invalid_arg "Quantify.sample: empty state set";
   if inputs = [] then invalid_arg "Quantify.sample: empty input set";
   let states = Array.of_list states in
   let inputs = Array.of_list inputs in
-  let scalar = timer_scalar timer in
   let time q i =
     let t = scalar states.(q) inputs.(i) in
     if t <= 0 then
@@ -93,18 +73,6 @@ let sample ?jobs ~spec ~states ~inputs timer =
   Prelude.Instrument.add_evals r.Sampling.Sampler.evals;
   r
 
-type mode = [ engine | `Sampled of Sampling.Sampler.spec ]
-
-type evaluation =
-  | Exhaustive of matrix
-  | Sampled of Sampling.Sampler.result
-
-let evaluate_mode ?jobs ~mode ~states ~inputs timer =
-  match mode with
-  | (`Exact | `Fast) as engine ->
-    Exhaustive (evaluate_timer ?jobs ~engine ~states ~inputs timer)
-  | `Sampled spec -> Sampled (sample ?jobs ~spec ~states ~inputs timer)
-
 let fold_matrix f init m =
   Array.fold_left (fun acc row -> Array.fold_left f acc row) init m
 
@@ -113,9 +81,8 @@ let max_all m = fold_matrix Stdlib.max 0 m
 
 (* Shared by the quantifiers and [of_rows]: Defs. 3-5 are minima over a
    non-empty rectangular T_p(q, i) matrix; an empty or ragged value has no
-   meaning (iipr [||] used to return Ratio.one silently while sipr [||]
-   raised — now both reject both degeneracies with the same message
-   shape). *)
+   meaning, so every quantifier rejects both degeneracies with the same
+   message shape. *)
 let validate name m =
   if Array.length m = 0 then invalid_arg (name ^ ": empty matrix");
   let input_count = Array.length m.(0) in
@@ -163,9 +130,6 @@ let wcet = max_all
 
 let times m =
   List.concat_map Array.to_list (Array.to_list m)
-
-let size m =
-  (Array.length m, if Array.length m = 0 then 0 else Array.length m.(0))
 
 let predictability ?jobs ~states ~inputs ~time () =
   let m = evaluate ?jobs ~states ~inputs ~time () in

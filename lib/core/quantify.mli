@@ -31,40 +31,38 @@ val of_rows : int array array -> matrix
 val evaluate :
   ?jobs:int -> states:'q list -> inputs:'i list ->
   time:('q -> 'i -> int) -> unit -> matrix
-(** Rows (one per state) are evaluated in parallel on [jobs] worker domains
-    (default {!Prelude.Parallel.default_jobs}); the resulting matrix — and
-    every quantity derived from it — is bit-identical for any job count.
-    Credits the [Q * I] sweep to {!Prelude.Instrument}.
+(** Matrices of at least {!inline_cells} cells are evaluated row by row on
+    [jobs] worker domains (default {!Prelude.Parallel.default_jobs});
+    smaller ones on the calling domain, where a pool spawn would cost more
+    than the cells. The resulting matrix — and every quantity derived from
+    it — is bit-identical for any job count. Credits the [Q * I] sweep to
+    {!Prelude.Instrument}.
     @raise Invalid_argument on empty [states]/[inputs] or a non-positive
     execution time. *)
 
-type engine = [ `Exact | `Fast ]
-(** Evaluation strategy selector. [`Exact] is the reference path: always
-    scalar [T_p] calls, always fanned out over the pool. [`Fast] may use a
-    timer's batched rows and keeps small matrices (under ~2k cells) on the
-    calling domain, where the pool's per-call domain spawn would dominate.
-    Both produce bit-identical matrices — gated by the FIG1.FAST oracle. *)
+val inline_cells : int
+(** Matrices below this many cells (2048) never use the pool. *)
 
-type ('q, 'i) timer =
-  | Scalar of ('q -> 'i -> int)
-  | Batched of {
-      scalar : 'q -> 'i -> int;
-      row : 'q -> 'i array -> int array;
-        (** one matrix row in a single call (lockstep batch stepping);
-            must agree cell-for-cell with [scalar] *)
-    }
-(** A timing function, optionally with a batched row evaluator (e.g.
-    {!Fastpath.Engine.row} via {!Harness.inorder_timer}). *)
+type engine = [ `Exact | `Fast ]
+(** Which in-order [T_p] {!Harness.inorder_timer} builds: [`Exact] is the
+    cycle-accurate interpreter, [`Fast] the fast-path engine. Elsewhere
+    ([evaluate_timer], [Cache_metrics], [Wcet.bracket]) an [?engine]
+    argument is accepted and ignored, for the perfbench harness that still
+    passes one. *)
+
+type ('q, 'i) timer = Scalar of ('q -> 'i -> int)
+(** A timing function [T_p(q, i)], e.g. from {!Harness.inorder_timer}. *)
 
 val timer_scalar : ('q, 'i) timer -> 'q -> 'i -> int
 
 val evaluate_timer :
   ?jobs:int -> ?engine:engine -> states:'q list -> inputs:'i list ->
   ('q, 'i) timer -> matrix
-(** {!evaluate} generalised over {!timer} and {!engine} (default [`Exact],
-    which with a [Scalar] timer is exactly {!evaluate}). Validation runs in
-    place on each worker's freshly produced row — a single pass, no second
-    O(Q*I) sweep. Batched rows of the wrong width are rejected. *)
+(** {!evaluate} over a {!timer}. [engine] is ignored — which domain runs
+    a row depends only on the matrix size — and is kept only because
+    [perfbench/layers.ml] still passes it. Validation runs in place on each
+    worker's freshly produced row — a single pass, no second O(Q*I)
+    sweep. *)
 
 val sample :
   ?jobs:int -> spec:Sampling.Sampler.spec -> states:'q list ->
@@ -72,26 +70,13 @@ val sample :
 (** Sampled evaluation: estimate Pr/SIPr/IIPr, the mean
     and pWCET-style BCET/WCET tails from a seeded subset of cells instead
     of materialising [Q * I] — the scale-past-exhaustive path. The
-    timer's scalar is invoked per sampled cell; built from
+    timer is invoked per sampled cell; built from
     {!Harness.inorder_timer}[ ~engine:`Fast] that is the fast-path
     engine, whose memo table absorbs the with-replacement repeats.
     Results are bit-identical for any [jobs] and credit their evaluation
     count (not [Q * I]) to {!Prelude.Instrument}.
     @raise Invalid_argument on empty [states]/[inputs], an invalid spec,
     or a non-positive execution time. *)
-
-type mode = [ engine | `Sampled of Sampling.Sampler.spec ]
-(** {!engine} extended with sampled evaluation. *)
-
-type evaluation =
-  | Exhaustive of matrix
-  | Sampled of Sampling.Sampler.result
-
-val evaluate_mode :
-  ?jobs:int -> mode:mode -> states:'q list -> inputs:'i list ->
-  ('q, 'i) timer -> evaluation
-(** [`Exact]/[`Fast] dispatch to {!evaluate_timer}, [`Sampled spec] to
-    {!sample}. *)
 
 val pr : matrix -> Prelude.Ratio.t
 (** Def. 3.
@@ -103,9 +88,7 @@ val sipr : matrix -> Prelude.Ratio.t
 
 val iipr : matrix -> Prelude.Ratio.t
 (** Def. 5: [min_q (min_i T(q,i) / max_i T(q,i))].
-    @raise Invalid_argument on an empty or ragged matrix (it used to
-    return [Ratio.one] for [[||]] while {!sipr} raised; both now
-    reject). *)
+    @raise Invalid_argument on an empty or ragged matrix. *)
 
 val bcet : matrix -> int
 (** Exhaustive best case over [Q * I] — ground truth for Figure 1. *)
@@ -113,9 +96,6 @@ val bcet : matrix -> int
 val wcet : matrix -> int
 val times : matrix -> int list
 (** All observed execution times (row-major), e.g. for histograms. *)
-
-val size : matrix -> int * int
-(** [(states, inputs)] dimensions. *)
 
 val predictability :
   ?jobs:int -> states:'q list -> inputs:'i list ->

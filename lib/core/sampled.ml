@@ -40,7 +40,7 @@ let analyze ?jobs ?(spec = Sampling.Sampler.default) ?(cross_check = false)
   let exhaustive =
     if not cross_check then None
     else begin
-      let m = Quantify.evaluate_timer ?jobs ~engine:`Fast ~states ~inputs timer in
+      let m = Quantify.evaluate_timer ?jobs ~states ~inputs timer in
       let times = Quantify.times m in
       let total = List.fold_left ( + ) 0 times in
       Some

@@ -22,13 +22,28 @@ type prepared = {
    physical-equality hit skips re-packing the state (prepare) and
    re-marshalling the input (trace keying). Domain-local by construction —
    prepared working arrays are mutated during a cell, so they must never be
-   shared across domains. *)
+   shared across domains.
+
+   There is one slot per domain, not one per engine: DLS keys are never
+   reclaimed, so a key per engine would keep every engine's last state,
+   input, trace and prepared arrays reachable for the life of the process.
+   The slot is tagged with the id of the engine that filled it and is
+   cleared when another engine calls [time], because prepared state and
+   traces are only valid for the engine (program) that built them. *)
 type scratch = {
+  mutable s_owner : int;
   mutable s_state : Pipeline.Inorder.state option;
   mutable s_prep : prepared option;
   mutable s_input : Isa.Exec.input option;
   mutable s_trace : Trace.compiled option;
 }
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      { s_owner = -1; s_state = None; s_prep = None; s_input = None;
+        s_trace = None })
+
+let next_id = Atomic.make 0
 
 (* The memo table, optionally size-bounded for resident use (the serve
    daemon): [order] remembers insertion order and the oldest entries are
@@ -43,6 +58,7 @@ type memo_table = {
 }
 
 type t = {
+  id : int;
   program : Isa.Program.t;
   digest : int;
   cfg : Dataflow.Cfg.t;
@@ -50,8 +66,6 @@ type t = {
   traces : (string, Trace.compiled) Hashtbl.t;
   summaries : (string, Summary.t) Hashtbl.t;
   classes : (Classify.features, bool array) Hashtbl.t;
-  mutable interned : (Isa.Exec.input array * Trace.compiled array) option;
-  scratch : scratch Domain.DLS.key;
   mu : Mutex.t;
 }
 
@@ -60,7 +74,8 @@ let create ?(memo = true) ?memo_bound program =
    | Some b when b < 1 ->
      invalid_arg "Fastpath.Engine.create: memo_bound must be >= 1"
    | _ -> ());
-  { program;
+  { id = Atomic.fetch_and_add next_id 1;
+    program;
     digest = Isa.Program.digest program;
     cfg = Dataflow.Cfg.build program;
     memo =
@@ -72,10 +87,6 @@ let create ?(memo = true) ?memo_bound program =
     traces = Hashtbl.create 64;
     summaries = Hashtbl.create 64;
     classes = Hashtbl.create 8;
-    interned = None;
-    scratch =
-      Domain.DLS.new_key (fun () ->
-          { s_state = None; s_prep = None; s_input = None; s_trace = None });
     mu = Mutex.create () }
 
 let memoized t = t.memo <> None
@@ -249,7 +260,14 @@ let cell t p st tr =
         v)
 
 let time t st input =
-  let s = Domain.DLS.get t.scratch in
+  let s = Domain.DLS.get scratch in
+  if s.s_owner <> t.id then begin
+    s.s_owner <- t.id;
+    s.s_state <- None;
+    s.s_prep <- None;
+    s.s_input <- None;
+    s.s_trace <- None
+  end;
   let p =
     match s.s_state, s.s_prep with
     | Some st', Some p when st' == st -> p
@@ -269,21 +287,3 @@ let time t st input =
       tr
   in
   cell t p st tr
-
-let interned_traces t inputs =
-  match
-    with_lock t (fun () ->
-        match t.interned with
-        | Some (arr, traces) when arr == inputs -> Some traces
-        | _ -> None)
-  with
-  | Some traces -> traces
-  | None ->
-    let traces = Array.map (fun i -> trace_for t i) inputs in
-    with_lock t (fun () -> t.interned <- Some (inputs, traces));
-    traces
-
-let row t st inputs =
-  let traces = interned_traces t inputs in
-  let p = prepare t st in
-  Array.map (fun tr -> cell t p st tr) traces

@@ -15,10 +15,16 @@
     Determinism: every produced time equals {!Pipeline.Inorder.time} on the
     same [(q, i)] (the FIG1.FAST oracle asserts bit-identical matrices on
     the whole workload registry), and all shared tables hold pure functions
-    of their keys behind a mutex, so concurrent rows from any number of
+    of their keys behind a mutex, so concurrent calls from any number of
     worker domains — and any memo hit/miss interleaving — return identical
     values. Memo hit/miss counts are credited to
-    {!Prelude.Instrument.counts} (deterministic only at [jobs = 1]). *)
+    {!Prelude.Instrument.counts} (deterministic only at [jobs = 1]).
+
+    Memory: each domain keeps one scratch slot for the last (state, input)
+    pair any engine was called with, so consecutive calls along a matrix
+    row skip re-packing the state. The slot is shared by all engines and
+    cleared when a different engine calls {!time} on that domain, so it
+    keeps at most one engine's last state and input reachable. *)
 
 type t
 
@@ -39,10 +45,5 @@ val memo_bound : t -> int option
 (** The configured cap, if any. *)
 
 val time : t -> Pipeline.Inorder.state -> Isa.Exec.input -> int
-(** Drop-in for {!Pipeline.Inorder.time} (bit-identical). *)
-
-val row : t -> Pipeline.Inorder.state -> Isa.Exec.input array -> int array
-(** One matrix row in lockstep: the state is packed once, traces are
-    interned once per distinct input array, and each cell resets the packed
-    working state by blitting. Safe to call concurrently from worker
-    domains. *)
+(** Drop-in for {!Pipeline.Inorder.time} (bit-identical). Safe to call
+    concurrently from worker domains. *)

@@ -3,6 +3,7 @@ module Lineio = Prelude.Lineio
 type t = {
   fd : Unix.file_descr;
   reader : Lineio.reader;
+  mutable closed : bool;
 }
 
 type error =
@@ -20,7 +21,8 @@ let connect ?(retry_for_s = 0.) ?max_frame path =
   let attempt () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> Ok { fd; reader = Lineio.reader ?max_line:max_frame fd }
+    | () ->
+      Ok { fd; reader = Lineio.reader ?max_line:max_frame fd; closed = false }
     | exception exn ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error exn
@@ -70,5 +72,10 @@ let request ?timeout_s t json =
          | Error (Timeout _) -> Error (Timeout budget)
          | other -> other)
 
+(* A second [Unix.close] on the same number could close an unrelated
+   descriptor that reused it, so only the first call closes. *)
 let close t =
-  try Unix.close t.fd with Unix.Unix_error _ -> ()
+  if not t.closed then begin
+    t.closed <- true;
+    try Unix.close t.fd with Unix.Unix_error _ -> ()
+  end

@@ -43,3 +43,5 @@ val recv : ?timeout_s:float -> t -> (Prelude.Json.t, error) result
 (** Read and parse the next response line. *)
 
 val close : t -> unit
+(** Close the connection. Idempotent: later calls do nothing, so they
+    cannot close a descriptor that has since reused the number. *)

@@ -197,27 +197,92 @@ let test_engine_summary_paths () =
          inputs)
     mems
 
+(* Every sampling run (DEF.SAMPLE, the serve daemon's sample op) builds an
+   engine and drops it. A dropped engine's state must not stay reachable
+   through the per-domain scratch slot: after 200 engines, at most the
+   last state may survive. *)
+let test_dropped_engines_released () =
+  let w = Isa.Workload.find "fir" in
+  let program, _ = Isa.Workload.program w in
+  let input = List.hd w.Isa.Workload.inputs in
+  let n = 200 in
+  let states = Weak.create n in
+  for k = 0 to n - 1 do
+    let eng = Fastpath.Engine.create program in
+    let q = Pipeline.Inorder.state () in
+    Weak.set states k (Some q);
+    ignore (Fastpath.Engine.time eng q input)
+  done;
+  Gc.full_major ();
+  let live = ref 0 in
+  for k = 0 to n - 1 do
+    if Weak.check states k then incr live
+  done;
+  if !live > 1 then
+    Alcotest.failf "%d of %d states still reachable after dropping their \
+                    engines" !live n
+
+(* Two engines share one domain's scratch slot. With a flat imem and a
+   cached dmem, the prepared state carries per-program block flags, so an
+   engine reusing another engine's preparation for the same physical state
+   would time the wrong program. *)
+let test_engines_share_slot_safely () =
+  let setup name =
+    let w = Isa.Workload.find name in
+    let program, _ = Isa.Workload.program w in
+    (program, Fastpath.Engine.create ~memo:false program,
+     take 4 w.Isa.Workload.inputs)
+  in
+  (* crc touches no memory, so every block is context-free for it. *)
+  let engines = [ setup "crc"; setup "bubble_sort"; setup "fir" ] in
+  let dcache =
+    Cache.Set_assoc.warmed Predictability.Harness.dcache_config ~seed:7
+      ~touches:12
+      ~universe:(List.init 16 (fun i -> 1000 + i))
+  in
+  let q =
+    Pipeline.Inorder.state
+      ~mem:
+        { Pipeline.Mem_system.imem = Pipeline.Mem_system.Flat 2;
+          dmem =
+            Pipeline.Mem_system.Cached
+              { cache = dcache; hit = Predictability.Harness.dcache_hit;
+                miss = Predictability.Harness.dcache_miss } }
+      ()
+  in
+  for k = 0 to 3 do
+    List.iteri
+      (fun e (program, eng, inputs) ->
+         let i = List.nth inputs k in
+         Alcotest.(check int)
+           (Printf.sprintf "engine %d, input %d" e k)
+           (Pipeline.Inorder.time program q i)
+           (Fastpath.Engine.time eng q i))
+      engines
+  done
+
 (* --- Memo table ---------------------------------------------------------- *)
 
 let test_memo_hit_miss_counting () =
   let w = Isa.Workload.find "fir" in
   let program, _ = Isa.Workload.program w in
   let states = Predictability.Harness.inorder_states program w in
-  let inputs = Array.of_list (take 6 w.Isa.Workload.inputs) in
+  let inputs = take 6 w.Isa.Workload.inputs in
   let eng = Fastpath.Engine.create ~memo:true program in
   Alcotest.(check bool) "memoized" true (Fastpath.Engine.memoized eng);
   let q = List.hd states in
+  let sweep () = List.map (Fastpath.Engine.time eng q) inputs in
   let before = Prelude.Instrument.snapshot () in
-  let r1 = Fastpath.Engine.row eng q inputs in
+  let r1 = sweep () in
   let mid = Prelude.Instrument.snapshot () in
-  let r2 = Fastpath.Engine.row eng q inputs in
+  let r2 = sweep () in
   let after = Prelude.Instrument.snapshot () in
-  Alcotest.(check bool) "rows agree" true (r1 = r2);
-  Alcotest.(check int) "first pass: all misses" (Array.length inputs)
+  Alcotest.(check (list int)) "passes agree" r1 r2;
+  Alcotest.(check int) "first pass: all misses" (List.length inputs)
     (mid.Prelude.Instrument.memo_misses - before.Prelude.Instrument.memo_misses);
   Alcotest.(check int) "first pass: no hits" 0
     (mid.Prelude.Instrument.memo_hits - before.Prelude.Instrument.memo_hits);
-  Alcotest.(check int) "second pass: all hits" (Array.length inputs)
+  Alcotest.(check int) "second pass: all hits" (List.length inputs)
     (after.Prelude.Instrument.memo_hits - mid.Prelude.Instrument.memo_hits);
   Alcotest.(check int) "second pass: no misses" 0
     (after.Prelude.Instrument.memo_misses - mid.Prelude.Instrument.memo_misses)
@@ -443,7 +508,7 @@ let prop_memoized_agrees_with_unmemoized =
               inputs)
          states)
 
-(* --- Determinism across jobs and engines --------------------------------- *)
+(* --- Determinism across jobs ---------------------------------------------- *)
 
 let test_jobs_determinism () =
   let w = Isa.Workload.find "bubble_sort" in
@@ -458,8 +523,7 @@ let test_jobs_determinism () =
     (fun jobs ->
        let timer = Predictability.Harness.inorder_timer ~engine:`Fast program in
        let fast =
-         Predictability.Quantify.evaluate_timer ~jobs ~engine:`Fast ~states
-           ~inputs timer
+         Predictability.Quantify.evaluate_timer ~jobs ~states ~inputs timer
        in
        Alcotest.(check bool)
          (Printf.sprintf "fast matrix at jobs=%d equals exact" jobs)
@@ -467,46 +531,12 @@ let test_jobs_determinism () =
        (* Re-evaluating through the same timer serves memo hits; the matrix
           must not change. *)
        let again =
-         Predictability.Quantify.evaluate_timer ~jobs ~engine:`Fast ~states
-           ~inputs timer
+         Predictability.Quantify.evaluate_timer ~jobs ~states ~inputs timer
        in
        Alcotest.(check bool)
          (Printf.sprintf "memoized re-evaluation at jobs=%d stable" jobs)
          true (again = exact))
     [ 1; 2; 4; 8 ]
-
-let test_quantify_fast_inline_small_matrices () =
-  (* Small matrices stay on the calling domain under `Fast; values must be
-     engine-independent. *)
-  let time q i = (10 * q) + i in
-  let states = [ 1; 2; 3 ] in
-  let inputs = [ 1; 2; 3; 4 ] in
-  let exact = Predictability.Quantify.evaluate ~states ~inputs ~time () in
-  let fast =
-    Predictability.Quantify.evaluate_timer ~engine:`Fast ~states ~inputs
-      (Predictability.Quantify.Scalar time)
-  in
-  Alcotest.(check bool) "inline fast = exact" true (exact = fast)
-
-let test_quantify_batched_validation () =
-  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
-  let bad_width =
-    Predictability.Quantify.Batched
-      { scalar = (fun _ _ -> 1); row = (fun _ _ -> [| 1 |]) }
-  in
-  Alcotest.(check bool) "wrong row width rejected" true
-    (raises (fun () ->
-         Predictability.Quantify.evaluate_timer ~engine:`Fast ~states:[ 0 ]
-           ~inputs:[ 0; 1 ] bad_width));
-  let negative =
-    Predictability.Quantify.Batched
-      { scalar = (fun _ _ -> -1); row = (fun _ inputs ->
-          Array.map (fun _ -> -1) inputs) }
-  in
-  Alcotest.(check bool) "non-positive batched cell rejected" true
-    (raises (fun () ->
-         Predictability.Quantify.evaluate_timer ~engine:`Fast ~states:[ 0 ]
-           ~inputs:[ 0; 1 ] negative))
 
 (* --- Cache_metrics against a brute-force sweep ------------------------- *)
 
@@ -577,7 +607,11 @@ let () =
          Alcotest.test_case "matches interpreter (dynamic predictor)" `Quick
            test_engine_vs_interpreter_dynamic_predictor;
          Alcotest.test_case "summary paths agree" `Quick
-           test_engine_summary_paths ]);
+           test_engine_summary_paths;
+         Alcotest.test_case "dropped engines are released" `Quick
+           test_dropped_engines_released;
+         Alcotest.test_case "engines share the scratch slot safely" `Quick
+           test_engines_share_slot_safely ]);
       ("memo",
        [ Alcotest.test_case "hit/miss counting" `Quick
            test_memo_hit_miss_counting;
@@ -588,11 +622,7 @@ let () =
          Alcotest.test_case "bound validated" `Quick test_memo_bound_validated;
          QCheck_alcotest.to_alcotest prop_memoized_agrees_with_unmemoized ]);
       ("determinism",
-       [ Alcotest.test_case "jobs 1/2/4/8" `Quick test_jobs_determinism;
-         Alcotest.test_case "fast inline small matrices" `Quick
-           test_quantify_fast_inline_small_matrices;
-         Alcotest.test_case "batched validation" `Quick
-           test_quantify_batched_validation ]);
+       [ Alcotest.test_case "jobs 1/2/4/8" `Quick test_jobs_determinism ]);
       ("cache-metrics",
        [ Alcotest.test_case "explorer = brute-force sweep" `Quick
            test_cache_metrics_vs_brute_force ]) ]

@@ -38,13 +38,23 @@ let test_exception_propagation () =
             (fun x -> if x = 17 then failwith "boom" else x)
             (List.init 100 Fun.id)))
 
+(* Matrices below [Quantify.inline_cells] never reach the pool, so the
+   tests of pooled evaluation use one at least that large. *)
+let pooled_states = List.init 64 Fun.id
+let pooled_inputs = List.init 40 Fun.id
+
+let () =
+  assert (
+    List.length pooled_states * List.length pooled_inputs
+    >= Predictability.Quantify.inline_cells)
+
 let test_quantify_exception_through_pool () =
   Alcotest.check_raises "non-positive time rejected from worker domains"
     (Invalid_argument "Quantify.evaluate: execution times must be positive")
     (fun () ->
        ignore
-         (Predictability.Quantify.evaluate ~jobs:4
-            ~states:(List.init 16 Fun.id) ~inputs:[ 0; 1; 2 ]
+         (Predictability.Quantify.evaluate ~jobs:4 ~states:pooled_states
+            ~inputs:pooled_inputs
             ~time:(fun q i -> if q = 11 && i = 2 then 0 else q + i + 1) ()))
 
 (* Regression: Parallel calls made from inside pool tasks used to spawn a
@@ -89,33 +99,39 @@ let job_counts = [ 1; 2; 8 ]
 
 let ratio = Alcotest.testable Prelude.Ratio.pp Prelude.Ratio.equal
 
+(* One matrix small enough to stay on the calling domain and one large
+   enough for the pool: both must be bit-identical at every job count. *)
 let test_quantify_determinism () =
-  let states = List.init 7 Fun.id and inputs = List.init 11 Fun.id in
   let time q i = 10 + (3 * q) + ((i * i) mod 7) in
-  let reference =
-    Predictability.Quantify.predictability ~jobs:1 ~states ~inputs ~time ()
-  in
   List.iter
-    (fun jobs ->
-       let pr, sipr, iipr =
-         Predictability.Quantify.predictability ~jobs ~states ~inputs ~time ()
+    (fun (label, states, inputs) ->
+       let reference =
+         Predictability.Quantify.predictability ~jobs:1 ~states ~inputs ~time ()
        in
-       let rpr, rsipr, riipr = reference in
-       Alcotest.check ratio (Printf.sprintf "Pr (jobs=%d)" jobs) rpr pr;
-       Alcotest.check ratio (Printf.sprintf "SIPr (jobs=%d)" jobs) rsipr sipr;
-       Alcotest.check ratio (Printf.sprintf "IIPr (jobs=%d)" jobs) riipr iipr)
-    job_counts;
-  let matrix jobs =
-    Predictability.Quantify.evaluate ~jobs ~states ~inputs ~time ()
-  in
-  let times1 = Predictability.Quantify.times (matrix 1) in
-  List.iter
-    (fun jobs ->
-       Alcotest.(check (list int))
-         (Printf.sprintf "matrix row-major times (jobs=%d)" jobs)
-         times1
-         (Predictability.Quantify.times (matrix jobs)))
-    job_counts
+       let matrix jobs =
+         Predictability.Quantify.evaluate ~jobs ~states ~inputs ~time ()
+       in
+       let times1 = Predictability.Quantify.times (matrix 1) in
+       List.iter
+         (fun jobs ->
+            let pr, sipr, iipr =
+              Predictability.Quantify.predictability ~jobs ~states ~inputs
+                ~time ()
+            in
+            let rpr, rsipr, riipr = reference in
+            Alcotest.check ratio (Printf.sprintf "%s Pr (jobs=%d)" label jobs)
+              rpr pr;
+            Alcotest.check ratio
+              (Printf.sprintf "%s SIPr (jobs=%d)" label jobs) rsipr sipr;
+            Alcotest.check ratio
+              (Printf.sprintf "%s IIPr (jobs=%d)" label jobs) riipr iipr;
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s matrix row-major times (jobs=%d)" label jobs)
+              times1
+              (Predictability.Quantify.times (matrix jobs)))
+         job_counts)
+    [ ("inline", List.init 7 Fun.id, List.init 11 Fun.id);
+      ("pooled", pooled_states, pooled_inputs) ]
 
 (* RW.CACHE runs Cache_metrics on a pool worker under run_all. The
    explorer is sequential, but concurrent calls from several domains must
@@ -159,20 +175,27 @@ let test_wcet_bracket_determinism () =
   let sequential_lb =
     Analysis.Wcet.bound (config false) Analysis.Wcet.Lower ~shapes ~entry:"main"
   in
+  (* Experiments call [bracket] from pool workers under run_all; every
+     call must equal the two sequential [bound] calls. *)
   List.iter
     (fun jobs ->
-       let ub, lb =
-         Analysis.Wcet.bracket ~jobs ~upper:(config true) ~lower:(config false)
-           ~shapes ~entry:"main" ()
-       in
-       Alcotest.(check int) (Printf.sprintf "UB (jobs=%d)" jobs)
-         sequential_ub.Analysis.Wcet.bound ub.Analysis.Wcet.bound;
-       Alcotest.(check int) (Printf.sprintf "LB (jobs=%d)" jobs)
-         sequential_lb.Analysis.Wcet.bound lb.Analysis.Wcet.bound;
-       Alcotest.(check bool) (Printf.sprintf "UB observations (jobs=%d)" jobs)
-         true (ub = sequential_ub);
-       Alcotest.(check bool) (Printf.sprintf "LB observations (jobs=%d)" jobs)
-         true (lb = sequential_lb))
+       List.iter
+         (fun (ub, lb) ->
+            Alcotest.(check int) (Printf.sprintf "UB (jobs=%d)" jobs)
+              sequential_ub.Analysis.Wcet.bound ub.Analysis.Wcet.bound;
+            Alcotest.(check int) (Printf.sprintf "LB (jobs=%d)" jobs)
+              sequential_lb.Analysis.Wcet.bound lb.Analysis.Wcet.bound;
+            Alcotest.(check bool)
+              (Printf.sprintf "UB observations (jobs=%d)" jobs)
+              true (ub = sequential_ub);
+            Alcotest.(check bool)
+              (Printf.sprintf "LB observations (jobs=%d)" jobs)
+              true (lb = sequential_lb))
+         (Prelude.Parallel.map ~jobs
+            (fun () ->
+               Analysis.Wcet.bracket ~upper:(config true)
+                 ~lower:(config false) ~shapes ~entry:"main" ())
+            (List.init 4 (fun _ -> ()))))
     job_counts
 
 (* Regression: TAB1.R2's [time] closure accumulates Superscalar.run results
@@ -220,7 +243,7 @@ let test_run_all_bit_identical () =
     sequential parallel
 
 let test_instrument_attribution () =
-  let states = List.init 6 Fun.id and inputs = List.init 9 Fun.id in
+  let states = pooled_states and inputs = pooled_inputs in
   let run jobs =
     let _, timing =
       Predictability.Harness.timed (fun () ->

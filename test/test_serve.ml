@@ -497,6 +497,37 @@ let test_shutdown_unlinks_socket () =
       wait 200;
       Alcotest.(check bool) "socket unlinked" false (Sys.file_exists socket))
 
+(* A second [Client.close] must not close a descriptor that has since
+   reused the client's number. The socket pair opened right after the
+   first close takes that number (the lowest free one), so a double close
+   would leave the pair unusable. *)
+let test_client_close_idempotent () =
+  let socket = temp_socket () in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+        Unix.close listener;
+        try Unix.unlink socket with Unix.Unix_error _ -> ())
+    (fun () ->
+       Unix.bind listener (Unix.ADDR_UNIX socket);
+       Unix.listen listener 1;
+       match Client.connect socket with
+       | Error message -> Alcotest.failf "cannot connect: %s" message
+       | Ok client ->
+         let peer, _ = Unix.accept listener in
+         Client.close client;
+         let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+         Client.close client;
+         Fun.protect
+           ~finally:(fun () -> List.iter Unix.close [ a; b; peer ])
+           (fun () ->
+              Alcotest.(check int) "write on the new socket" 1
+                (Unix.write_substring a "x" 0 1);
+              let buf = Bytes.create 1 in
+              Alcotest.(check int) "read on its peer" 1 (Unix.read b buf 0 1);
+              Alcotest.(check string) "byte delivered" "x"
+                (Bytes.to_string buf)))
+
 (* --- Concurrency --------------------------------------------------------- *)
 
 (* N clients at once against a --conns 4 pool: every certify response must
@@ -707,7 +738,9 @@ let () =
          Alcotest.test_case "stale socket reclaimed" `Quick
            test_stale_socket_reclaimed;
          Alcotest.test_case "shutdown unlinks the socket" `Quick
-           test_shutdown_unlinks_socket ]);
+           test_shutdown_unlinks_socket;
+         Alcotest.test_case "client close is idempotent" `Quick
+           test_client_close_idempotent ]);
       ("concurrency",
        [ Alcotest.test_case "concurrent clients byte-identical" `Slow
            test_concurrent_clients_byte_identical;
