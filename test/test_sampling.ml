@@ -387,6 +387,94 @@ let test_quantify_sample_counts_evals () =
   Alcotest.(check int) "timer called once per eval" r.Sampling.Sampler.evals
     !calls
 
+(* --- Golden pins ----------------------------------------------------------- *)
+
+(* Exact Sampler.to_json bytes of seeded analyses. The JSON float
+   rendering round-trips every double, so these pin each estimate and CI
+   endpoint bit for bit. The cross-jobs and daemon-vs-CLI gates compare
+   two runs of the current code and would miss a drift that every path
+   shares; these catch it. *)
+let golden_entry name = (name, List.assoc name Isa.Workload.registry)
+
+let golden_sampled ?spec name =
+  (Predictability.Sampled.analyze ~jobs:1 ?spec (golden_entry name))
+    .Predictability.Sampled.sampled
+  |> Sampling.Sampler.to_json |> Prelude.Json.to_string
+
+let golden_tiny =
+  { Sampling.Sampler.default with
+    Sampling.Sampler.n_cells = 2; per_stratum = 2; resamples = 3;
+    tail_fraction = 0.5 }
+
+let golden_doc = function
+  | "popcount_check77" ->
+    Predictability.Sampled.analyze ~jobs:1 ~cross_check:true
+      ~spec:{ Sampling.Sampler.default with Sampling.Sampler.seed = 77 }
+      (golden_entry "popcount")
+    |> Predictability.Sampled.row_to_json |> Prelude.Json.to_string
+  | "bubble_sort_tiny" -> golden_sampled ~spec:golden_tiny "bubble_sort"
+  | name -> golden_sampled name
+
+let golden_pins =
+  [ ("bubble_sort",
+     String.concat ""
+       [ {|{"n_states":6,"n_inputs":24,"seed":23101,"spec":{"n_cells":384,"per_stratum":32,"confidence":0.99,"resamples":200,"tail_fraction":0.25,"exceed_p":0.001,"seed":23101},|};
+         {|"pr":{"estimate":0.7741935483870968,"ci_lo":0.7614362771020624,"ci_hi":0.7741935483870968,"confidence":0.99,"n_samples":384,"method":"bootstrap"},|};
+         {|"sipr":{"estimate":0.8571428571428571,"ci_lo":0.8571428571428571,"ci_hi":0.8571428571428571,"confidence":0.99,"n_samples":768,"method":"bootstrap"},|};
+         {|"iipr":{"estimate":0.8888888888888888,"ci_lo":0.8703703703703702,"ci_hi":0.8888888888888888,"confidence":0.99,"n_samples":192,"method":"bootstrap"},|};
+         {|"mean_time":{"estimate":366.9348958333333,"ci_lo":364.23093823894317,"ci_hi":369.63885342772346,"confidence":0.99,"n_samples":384,"method":"normal"},|};
+         {|"bcet_tail":{"estimate":296.4951350361186,"ci_lo":278.2004971803036,"ci_hi":301.44885309735974,"confidence":0.99,"n_samples":384,"method":"bootstrap"},|};
+         {|"wcet_tail":{"estimate":506.6283550197073,"ci_lo":461.52244607302123,"ci_hi":536.265893363789,"confidence":0.99,"n_samples":384,"method":"bootstrap"},|};
+         {|"evals":1344}|} ]);
+    ("fibonacci",
+     String.concat ""
+       [ {|{"n_states":6,"n_inputs":1,"seed":23101,"spec":{"n_cells":384,"per_stratum":32,"confidence":0.99,"resamples":200,"tail_fraction":0.25,"exceed_p":0.001,"seed":23101},|};
+         {|"pr":{"estimate":0.8627450980392157,"ci_lo":0.8627450980392157,"ci_hi":0.8627450980392157,"confidence":0.99,"n_samples":384,"method":"bootstrap"},|};
+         {|"sipr":{"estimate":0.8627450980392157,"ci_lo":0.8627450980392157,"ci_hi":0.8627450980392157,"confidence":0.99,"n_samples":32,"method":"bootstrap"},|};
+         {|"iipr":{"estimate":1.0,"ci_lo":1.0,"ci_hi":1.0,"confidence":0.99,"n_samples":192,"method":"bootstrap"},|};
+         {|"mean_time":{"estimate":134.625,"ci_lo":133.71089513393707,"ci_hi":135.53910486606293,"confidence":0.99,"n_samples":384,"method":"normal"},|};
+         {|"bcet_tail":{"estimate":132.0,"ci_lo":132.0,"ci_hi":132.0,"confidence":0.99,"n_samples":384,"method":"bootstrap"},|};
+         {|"wcet_tail":{"estimate":233.39458848334834,"ci_lo":228.01665401314412,"ci_hi":241.2767181534234,"confidence":0.99,"n_samples":384,"method":"bootstrap"},|};
+         {|"evals":608}|} ]);
+    ("clamp",
+     String.concat ""
+       [ {|{"n_states":6,"n_inputs":10,"seed":23101,"spec":{"n_cells":384,"per_stratum":32,"confidence":0.99,"resamples":200,"tail_fraction":0.25,"exceed_p":0.001,"seed":23101},|};
+         {|"pr":{"estimate":0.4,"ci_lo":0.4,"ci_hi":0.4,"confidence":0.99,"n_samples":384,"method":"bootstrap"},|};
+         {|"sipr":{"estimate":0.43243243243243246,"ci_lo":0.43243243243243246,"ci_hi":0.43243243243243246,"confidence":0.99,"n_samples":320,"method":"bootstrap"},|};
+         {|"iipr":{"estimate":0.8421052631578947,"ci_lo":0.8421052631578947,"ci_hi":0.8421052631578947,"confidence":0.99,"n_samples":192,"method":"bootstrap"},|};
+         {|"mean_time":{"estimate":20.078125,"ci_lo":19.140686630497232,"ci_hi":21.015563369502768,"confidence":0.99,"n_samples":384,"method":"normal"},|};
+         {|"bcet_tail":{"estimate":16.0,"ci_lo":16.0,"ci_hi":16.0,"confidence":0.99,"n_samples":384,"method":"bootstrap"},|};
+         {|"wcet_tail":{"estimate":113.15211787739489,"ci_lo":107.29863094943238,"ci_hi":121.8868058886173,"confidence":0.99,"n_samples":384,"method":"bootstrap"},|};
+         {|"evals":896}|} ]);
+    ("popcount_check77",
+     String.concat ""
+       [ {|{"workload":"popcount","n_states":6,"n_inputs":12,"seed":77,"spec":{"n_cells":384,"per_stratum":32,"confidence":0.99,"resamples":200,"tail_fraction":0.25,"exceed_p":0.001,"seed":77},|};
+         {|"pr":{"estimate":0.7019867549668874,"ci_lo":0.7019867549668874,"ci_hi":0.7019867549668874,"confidence":0.99,"n_samples":384,"method":"bootstrap"},|};
+         {|"sipr":{"estimate":0.8346456692913385,"ci_lo":0.8345909564613248,"ci_hi":0.8346456692913385,"confidence":0.99,"n_samples":384,"method":"bootstrap"},|};
+         {|"iipr":{"estimate":0.8153846153846154,"ci_lo":0.8153846153846154,"ci_hi":0.8153846153846154,"confidence":0.99,"n_samples":192,"method":"bootstrap"},|};
+         {|"mean_time":{"estimate":122.09375,"ci_lo":120.76921519485879,"ci_hi":123.41828480514121,"confidence":0.99,"n_samples":384,"method":"normal"},|};
+         {|"bcet_tail":{"estimate":77.41610303863649,"ci_lo":72.81867242474257,"ci_hi":80.94799009798683,"confidence":0.99,"n_samples":384,"method":"bootstrap"},|};
+         {|"wcet_tail":{"estimate":203.08419224243232,"ci_lo":193.84829389370734,"ci_hi":218.4665512984473,"confidence":0.99,"n_samples":384,"method":"bootstrap"},|};
+         {|"evals":960,"exhaustive":{"pr":0.7019867549668874,"sipr":0.8346456692913385,"iipr":0.8153846153846154,"bcet":106,"wcet":151,"mean":122.0},|};
+         {|"contained":{"pr":true,"sipr":true,"iipr":true,"mean":true,"tails":true}}|} ]);
+    ("bubble_sort_tiny",
+     String.concat ""
+       [ {|{"n_states":6,"n_inputs":24,"seed":23101,"spec":{"n_cells":2,"per_stratum":2,"confidence":0.99,"resamples":3,"tail_fraction":0.5,"exceed_p":0.001,"seed":23101},|};
+         {|"pr":{"estimate":0.9607843137254902,"ci_lo":0.9215686274509804,"ci_hi":0.9607843137254902,"confidence":0.99,"n_samples":2,"method":"bootstrap"},|};
+         {|"sipr":{"estimate":0.864406779661017,"ci_lo":0.8495032144944478,"ci_hi":0.864406779661017,"confidence":0.99,"n_samples":48,"method":"bootstrap"},|};
+         {|"iipr":{"estimate":0.96,"ci_lo":0.920377358490566,"ci_hi":0.96,"confidence":0.99,"n_samples":12,"method":"bootstrap"},|};
+         {|"mean_time":{"estimate":3.5e+02,"ci_lo":331.9691948548925,"ci_hi":368.0308051451075,"confidence":0.99,"n_samples":2,"method":"normal"},|};
+         {|"bcet_tail":{"estimate":306.49774331104464,"ci_lo":306.49774331104464,"ci_hi":306.49774331104464,"confidence":0.99,"n_samples":2,"method":"bootstrap"},|};
+         {|"wcet_tail":{"estimate":393.50225668895536,"ci_lo":393.50225668895536,"ci_hi":443.8645133779107,"confidence":0.99,"n_samples":2,"method":"bootstrap"},|};
+         {|"evals":62}|} ]) ]
+
+let golden_tests =
+  List.map
+    (fun (label, expected) ->
+       Alcotest.test_case label `Quick (fun () ->
+           Alcotest.(check string) label expected (golden_doc label)))
+    golden_pins
+
 let () =
   Alcotest.run "sampling"
     [ ("rng",
@@ -437,6 +525,7 @@ let () =
          QCheck_alcotest.to_alcotest prop_sampled_ci_contains_exhaustive;
          Alcotest.test_case "fixed-seed mean containment" `Quick
            test_fixed_seed_mean_containment ]);
+      ("golden", golden_tests);
       ("quantify-sample",
        [ Alcotest.test_case "validation" `Quick test_quantify_sample_validation;
          Alcotest.test_case "eval accounting" `Quick
