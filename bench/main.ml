@@ -219,7 +219,7 @@ let wcet_fixture =
    so the estimator machinery — keyed substreams, stratified passes,
    bootstrap resampling, tail extrapolation — is what gets timed, not a
    simulator), plus the unbiased Rng.int rejection path at a worst-case
-   bound and the bootstrap/tail stages in isolation. *)
+   bound and the tail stage in isolation. *)
 let sampling_spec =
   { Sampling.Sampler.default with
     Sampling.Sampler.n_cells = 128; per_stratum = 8; resamples = 50 }
@@ -344,13 +344,6 @@ let kernel_specs () =
     stage "DEF.SAMPLE/sampler_run" (fun () ->
         Sampling.Sampler.run ~jobs:1 ~spec:sampling_spec ~n_states:32
           ~n_inputs:32 ~time:sampling_time ());
-    stage "DEF.SAMPLE/bootstrap_mean_ci" (fun () ->
-        Sampling.Estimate.bootstrap ~rng:(Prelude.Rng.make 11) ~resamples:50
-          ~confidence:0.99
-          ~stat:(fun a ->
-              float_of_int (Array.fold_left ( + ) 0 a)
-              /. float_of_int (Array.length a))
-          sampling_samples);
     stage "DEF.SAMPLE/tail_extrapolate" (fun () ->
         Sampling.Tail.estimate ~rng:(Prelude.Rng.make 12) ~resamples:50
           ~confidence:0.99 ~tail_fraction:0.25 ~exceed_p:0.001

@@ -50,10 +50,21 @@ done
 # Pr/SIPr/IIPr/mean inside the reported CIs, tails bracketing [BCET, WCET],
 # and the whole report bit-identical across jobs and reruns at a fixed
 # seed. The CLI smoke re-asserts containment end to end (`sample --check`
-# exits 1 on any value outside its CI), and the sampling microbenchmark
-# kernels must still run.
+# exits 1 on any value outside its CI), the CLI's sample documents must
+# agree across --jobs, and the sampling microbenchmark kernels must still
+# run.
 dune exec bin/predlab.exe -- run DEF.SAMPLE --jobs 2
 dune exec bin/predlab.exe -- sample --check --jobs 2 clamp popcount
+# Cross-jobs gate through the CLI: over every workload, the sample
+# document at --jobs 1 and at --jobs 8 must be byte-identical once the
+# top-level "jobs" echo (the one line that names the setting) is deleted.
+for j in 1 8; do
+  dune exec bin/predlab.exe -- sample --format json --jobs "$j" \
+    > "_build/sample-j$j.json"
+  test "$(grep -c '^  "jobs": ' "_build/sample-j$j.json")" -eq 1
+  sed '/^  "jobs": /d' "_build/sample-j$j.json" > "_build/sample-j$j.nojobs"
+done
+cmp _build/sample-j1.nojobs _build/sample-j8.nojobs
 dune exec bench/main.exe -- --only DEF.SAMPLE
 
 # Certifier gates. DEF.CERT is the oracle that lets a static certificate

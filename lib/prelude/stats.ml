@@ -45,8 +45,9 @@ let max_int_list = function
 (* Empirical quantile with linear interpolation between order statistics
    (the "type 7" definition shared by R and NumPy): p = 0 is the minimum,
    p = 1 the maximum. [quantile_sorted] assumes its array is already
-   sorted ascending — the sampling estimators' bootstrap loops call it per
-   resample and must not pay a re-sort each time. *)
+   sorted ascending, so a caller holding a sorted array pays no re-sort.
+   Sampling.Tail reads the same interpolation off its replicate counts and
+   must stay in step with it. *)
 let quantile_sorted arr p =
   if Array.length arr = 0 then
     invalid_arg "Stats.quantile: empty sample list";

@@ -32,7 +32,8 @@ val quantile : float list -> float -> float
 
 val quantile_sorted : float array -> float -> float
 (** {!quantile} over an array {e already sorted ascending} (unchecked) —
-    the allocation-free form the bootstrap resampling loops use.
+    the allocation-free form the bootstrap intervals use on their sorted
+    replicate statistics.
     @raise Invalid_argument on an empty array or [p] outside [0, 1]. *)
 
 val coefficient_of_variation : summary -> float

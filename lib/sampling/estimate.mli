@@ -58,8 +58,9 @@ val normal_mean : confidence:float -> float list -> t
 val of_replicates :
   confidence:float -> n:int -> value:float -> float array -> t
 (** Basic bootstrap interval from precomputed replicate statistics (the
-    form the stratified and tail estimators use, whose replication is not
-    plain row resampling). Degenerate on an empty replicate array.
+    form every sampler estimator uses: each computes its replicates
+    without materialising resamples). Degenerate on an empty replicate
+    array.
     @raise Invalid_argument on a confidence outside (0, 1). *)
 
 val bootstrap :
@@ -68,7 +69,9 @@ val bootstrap :
 (** [bootstrap ~rng ~resamples ~confidence ~stat samples]: [stat] of
     [samples] as the point estimate, basic bootstrap over [resamples]
     with-replacement resamples as the interval. Deterministic given
-    [rng].
+    [rng]. Each replicate materialises its resample, so this generic form
+    is the reference that the array-free {!Sampler.pr_estimate} is tested
+    against, not the sampler's path.
     @raise Invalid_argument on an empty sample array, negative
     [resamples], or a confidence outside (0, 1). *)
 

@@ -36,6 +36,11 @@ type cell = {
   t : int;
 }
 
+(* One pool job's output: a Monte-Carlo cell or one stratum's times. *)
+type draw =
+  | Cell of cell
+  | Stratum of int array
+
 type result = {
   spec : spec;
   n_states : int;
@@ -74,30 +79,41 @@ let extremes_ratio times =
   let mx = Array.fold_left Stdlib.max 0 times in
   float_of_int mn /. float_of_int mx
 
+(* [extremes_ratio] of one with-replacement resample of [times], folded
+   straight over the drawn indices: the same draws, in the same order, and
+   the same value as materialising the resample first. *)
+let resampled_extremes_ratio rng times =
+  let n = Array.length times in
+  let mn = ref max_int and mx = ref 0 in
+  for _ = 1 to n do
+    let t = times.(Prelude.Rng.int rng n) in
+    if t < !mn then mn := t;
+    if t > !mx then mx := t
+  done;
+  float_of_int !mn /. float_of_int !mx
+
+let pr_estimate ~rng ~resamples ~confidence times =
+  let n = Array.length times in
+  if n = 0 then invalid_arg "Sampler.pr_estimate: empty sample array";
+  Estimate.of_replicates ~confidence ~n ~value:(extremes_ratio times)
+    (Array.init resamples (fun _ -> resampled_extremes_ratio rng times))
+
 (* min over strata of (min/max within the stratum) — the sampled analogue
    of Defs. 4 and 5, with the stratum playing the fixed input (SIPr) or
-   fixed state (IIPr). *)
-let stratified_min_ratio strata =
-  Array.fold_left
-    (fun acc stratum -> Float.min acc (extremes_ratio stratum))
-    1. strata
-
-(* Hierarchical bootstrap: resample within every stratum (the strata
-   themselves are exhaustive — one per input or per state — so they are
-   not resampled), recompute the min-ratio, repeat. *)
-let stratified_estimate ~rng ~spec strata =
-  let value = stratified_min_ratio strata in
+   fixed state (IIPr). A hierarchical bootstrap resamples within every
+   stratum (the strata themselves are exhaustive — one per input or per
+   state — so they are not resampled) and recomputes the min-ratio. *)
+let stratified_estimate ~rng ~resamples ~confidence strata =
+  let min_ratio ratio =
+    Array.fold_left (fun acc stratum -> Float.min acc (ratio stratum)) 1.
+      strata
+  in
+  let value = min_ratio extremes_ratio in
   let replicates =
-    Array.init spec.resamples (fun _ ->
-        stratified_min_ratio
-          (Array.map
-             (fun stratum ->
-                let n = Array.length stratum in
-                Array.init n (fun _ -> stratum.(Prelude.Rng.int rng n)))
-             strata))
+    Array.init resamples (fun _ -> min_ratio (resampled_extremes_ratio rng))
   in
   let n = Array.fold_left (fun acc s -> acc + Array.length s) 0 strata in
-  Estimate.of_replicates ~confidence:spec.confidence ~n ~value replicates
+  Estimate.of_replicates ~confidence ~n ~value replicates
 
 (* [Parallel.map_array], keeping the documented [Invalid_argument] for a
    rejected cell: when several workers reject a cell at once the pool
@@ -116,56 +132,62 @@ let run ?jobs ~spec ~n_states ~n_inputs ~time () =
   let cell_master = Prelude.Rng.split_key root key_cells in
   let sipr_master = Prelude.Rng.split_key root key_sipr in
   let iipr_master = Prelude.Rng.split_key root key_iipr in
-  (* Monte-Carlo (q, i) draws for Pr, the mean and the tails: cell k's
-     coordinates come from the stream keyed by k, never from worker
-     identity, and Parallel.map_array delivers results by input index —
-     the two halves of the cross-jobs determinism guarantee. *)
+  (* One pool for every draw. Job k < n_cells is Monte-Carlo cell k (Pr,
+     the mean and the tails); then one job per input stratum (SIPr: every
+     input, states sampled within it) and one per state stratum (IIPr:
+     every state, inputs sampled within it). Each job reads only the
+     stream keyed by its own cell or stratum index, never worker
+     identity, and Parallel.map_array delivers results by job index — the
+     two halves of the cross-jobs determinism guarantee. *)
+  let n_cells = spec.n_cells in
+  let stratum time_one =
+    Stratum (Array.init spec.per_stratum (fun _ -> check_time (time_one ())))
+  in
+  let draw k =
+    if k < n_cells then begin
+      let rng = Prelude.Rng.split_key cell_master k in
+      let q = Prelude.Rng.int rng n_states in
+      let i = Prelude.Rng.int rng n_inputs in
+      Cell { q; i; t = check_time (time q i) }
+    end
+    else if k < n_cells + n_inputs then begin
+      let i = k - n_cells in
+      let rng = Prelude.Rng.split_key sipr_master i in
+      stratum (fun () -> time (Prelude.Rng.int rng n_states) i)
+    end
+    else begin
+      let q = k - n_cells - n_inputs in
+      let rng = Prelude.Rng.split_key iipr_master q in
+      stratum (fun () -> time q (Prelude.Rng.int rng n_inputs))
+    end
+  in
+  let drawn =
+    map_cells ?jobs draw (Array.init (n_cells + n_inputs + n_states) Fun.id)
+  in
   let cells =
-    map_cells ?jobs
-      (fun k ->
-         let rng = Prelude.Rng.split_key cell_master k in
-         let q = Prelude.Rng.int rng n_states in
-         let i = Prelude.Rng.int rng n_inputs in
-         { q; i; t = check_time (time q i) })
-      (Array.init spec.n_cells Fun.id)
+    Array.init n_cells (fun k ->
+        match drawn.(k) with Cell c -> c | Stratum _ -> assert false)
+  in
+  let strata_at first count =
+    Array.init count (fun k ->
+        match drawn.(first + k) with Stratum s -> s | Cell _ -> assert false)
   in
   let cell_times = Array.map (fun c -> c.t) cells in
-  (* Stratified draws: SIPr enumerates every input and samples states
-     within it; IIPr enumerates every state and samples inputs. *)
-  let sipr_strata =
-    map_cells ?jobs
-      (fun i ->
-         let rng = Prelude.Rng.split_key sipr_master i in
-         Array.init spec.per_stratum (fun _ ->
-             check_time (time (Prelude.Rng.int rng n_states) i)))
-      (Array.init n_inputs Fun.id)
-  in
-  let iipr_strata =
-    map_cells ?jobs
-      (fun q ->
-         let rng = Prelude.Rng.split_key iipr_master q in
-         Array.init spec.per_stratum (fun _ ->
-             check_time (time q (Prelude.Rng.int rng n_inputs))))
-      (Array.init n_states Fun.id)
-  in
   (* Every estimate below is a sequential fold over data already fixed
      above, with its own keyed bootstrap stream: jobs cannot affect it. *)
   let pr =
-    Estimate.bootstrap
+    pr_estimate
       ~rng:(Prelude.Rng.split_key root key_boot_pr)
+      ~resamples:spec.resamples ~confidence:spec.confidence cell_times
+  in
+  let stratified key first count =
+    stratified_estimate
+      ~rng:(Prelude.Rng.split_key root key)
       ~resamples:spec.resamples ~confidence:spec.confidence
-      ~stat:extremes_ratio cell_times
+      (strata_at first count)
   in
-  let sipr =
-    stratified_estimate
-      ~rng:(Prelude.Rng.split_key root key_boot_sipr)
-      ~spec sipr_strata
-  in
-  let iipr =
-    stratified_estimate
-      ~rng:(Prelude.Rng.split_key root key_boot_iipr)
-      ~spec iipr_strata
-  in
+  let sipr = stratified key_boot_sipr n_cells n_inputs in
+  let iipr = stratified key_boot_iipr (n_cells + n_inputs) n_states in
   let mean =
     Estimate.normal_mean ~confidence:spec.confidence
       (Array.to_list (Array.map float_of_int cell_times))

@@ -55,12 +55,41 @@ type result = {
 val run :
   ?jobs:int -> spec:spec -> n_states:int -> n_inputs:int ->
   time:(int -> int -> int) -> unit -> result
-(** Draw and evaluate the sampled cells on [?jobs] worker domains
-    (default {!Prelude.Parallel.default_jobs}) and compute every
-    estimate. [time q i] must be positive and a pure function of its
+(** Draw and evaluate the sampled cells and both stratified passes in
+    one pool of [?jobs] worker domains (default
+    {!Prelude.Parallel.default_jobs}), then compute every estimate
+    sequentially. [time q i] must be positive and a pure function of its
     indices.
     @raise Invalid_argument on non-positive dimensions, invalid spec
     fields, or a non-positive execution time. *)
+
+(** {2 Bootstrap estimators}
+
+    {!run} computes its ratio estimates with these. Each replicate folds
+    min/max straight over the drawn indices and materialises no resampled
+    array, yet makes the same draws in the same order as the reference
+    {!Estimate.bootstrap} over materialised resamples — so both give
+    bit-identical estimates on the same [rng]. *)
+
+val pr_estimate :
+  rng:Prelude.Rng.t -> resamples:int -> confidence:float -> int array ->
+  Estimate.t
+(** The Def. 3 estimate over sampled times: min/max as the point estimate,
+    basic bootstrap over [resamples] with-replacement resamples as the
+    interval. Equal to {!Estimate.bootstrap} with a min/max [stat].
+    @raise Invalid_argument on an empty array, negative [resamples], or a
+    confidence outside (0, 1). *)
+
+val stratified_estimate :
+  rng:Prelude.Rng.t -> resamples:int -> confidence:float ->
+  int array array -> Estimate.t
+(** The Def. 4/5 estimate over strata of sampled times: the minimum over
+    strata of each stratum's min/max. Each replicate resamples within
+    every stratum, in stratum order; the strata themselves are exhaustive
+    and are not resampled. [strata] must be non-empty, and so must each
+    stratum.
+    @raise Invalid_argument on negative [resamples] or a confidence
+    outside (0, 1). *)
 
 val spec_to_json : spec -> Prelude.Json.t
 

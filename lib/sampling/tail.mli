@@ -10,6 +10,14 @@
     has seen), and the confidence interval is a basic bootstrap over
     resampled tails ({!Estimate.of_replicates}).
 
+    The samples are sorted once. Each bootstrap replicate is a reused
+    counts array over the sorted samples, filled by [n] draws of
+    [Prelude.Rng.int rng n]; walking it upward visits the replicate in
+    ascending order, so no replicate is materialised or sorted. The
+    result is bit-identical to extrapolating each materialised, sorted
+    replicate, and the point estimate takes the same path with every
+    count 1.
+
     [Lower] estimates the BCET side by negating the samples, estimating
     the upper tail, and mirroring the interval back. *)
 

@@ -246,6 +246,165 @@ let test_tail_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "tail_fraction 0: expected Invalid_argument"
 
+(* --- Array-free bootstrap vs materialising references -------------------- *)
+
+(* The bootstrap estimators as they were written before they went
+   array-free: every replicate materialised (and, for the tails, sorted).
+   The library versions must make the same draws and agree bit for bit. *)
+let reference_extrapolate ~tail_fraction ~exceed_p sorted =
+  let n = Array.length sorted in
+  let observed_max = sorted.(n - 1) in
+  let u = Prelude.Stats.quantile_sorted sorted (1. -. tail_fraction) in
+  let k = ref 0 and excess_sum = ref 0. in
+  Array.iter
+    (fun x ->
+       if x > u then begin
+         incr k;
+         excess_sum := !excess_sum +. (x -. u)
+       end)
+    sorted;
+  if !k = 0 then observed_max
+  else
+    let m = !excess_sum /. float_of_int !k in
+    Float.max
+      (u +. (m *. log (float_of_int !k /. (float_of_int n *. exceed_p))))
+      observed_max
+
+let reference_tail ~rng ~resamples ~confidence ~tail_fraction ~exceed_p side
+    samples =
+  let n = Array.length samples in
+  let sign = match side with Sampling.Tail.Upper -> 1. | Lower -> -1. in
+  let oriented = Array.map (fun t -> sign *. float_of_int t) samples in
+  Array.sort Float.compare oriented;
+  let stat = reference_extrapolate ~tail_fraction ~exceed_p in
+  let replicates =
+    Array.init resamples (fun _ ->
+        let re = Array.init n (fun _ -> oriented.(Prelude.Rng.int rng n)) in
+        Array.sort Float.compare re;
+        stat re)
+  in
+  let e =
+    Sampling.Estimate.of_replicates ~confidence ~n ~value:(stat oriented)
+      replicates
+  in
+  match side with
+  | Sampling.Tail.Upper -> e
+  | Lower ->
+    { e with
+      Sampling.Estimate.value = -.e.Sampling.Estimate.value;
+      ci =
+        { e.Sampling.Estimate.ci with
+          Sampling.Estimate.lo = -.e.Sampling.Estimate.ci.Sampling.Estimate.hi;
+          hi = -.e.Sampling.Estimate.ci.Sampling.Estimate.lo } }
+
+let reference_extremes_ratio times =
+  float_of_int (Array.fold_left Stdlib.min max_int times)
+  /. float_of_int (Array.fold_left Stdlib.max 0 times)
+
+let reference_stratified ~rng ~resamples ~confidence strata =
+  let min_ratio strata =
+    Array.fold_left
+      (fun acc s -> Float.min acc (reference_extremes_ratio s))
+      1. strata
+  in
+  let replicates =
+    Array.init resamples (fun _ ->
+        min_ratio
+          (Array.map
+             (fun s ->
+                let n = Array.length s in
+                Array.init n (fun _ -> s.(Prelude.Rng.int rng n)))
+             strata))
+  in
+  let n = Array.fold_left (fun acc s -> acc + Array.length s) 0 strata in
+  Sampling.Estimate.of_replicates ~confidence ~n ~value:(min_ratio strata)
+    replicates
+
+(* Bit-for-bit equality: distinguishes -0. from 0. where [=] would not. *)
+let same_estimate (a : Sampling.Estimate.t) (b : Sampling.Estimate.t) =
+  let bits = Int64.bits_of_float in
+  let open Sampling.Estimate in
+  bits a.value = bits b.value
+  && bits a.ci.lo = bits b.ci.lo
+  && bits a.ci.hi = bits b.ci.hi
+  && bits a.ci.confidence = bits b.ci.confidence
+  && a.n = b.n && a.meth = b.meth
+
+let show_estimate (e : Sampling.Estimate.t) =
+  Printf.sprintf "%h [%h, %h] n=%d %s" e.Sampling.Estimate.value
+    e.Sampling.Estimate.ci.Sampling.Estimate.lo
+    e.Sampling.Estimate.ci.Sampling.Estimate.hi e.Sampling.Estimate.n
+    (Sampling.Estimate.method_string e.Sampling.Estimate.meth)
+
+(* Small value ranges force ties; n = 1 and zero resamples are drawn
+   often enough to be hit on every run. *)
+let gen_times ~lo =
+  QCheck.Gen.(
+    let* n = frequency [ (1, return 1); (6, int_range 1 60) ] in
+    let* hi = int_range lo (lo + 40) in
+    array_size (return n) (int_range lo hi))
+
+let gen_resamples =
+  QCheck.Gen.(frequency [ (1, return 0); (4, int_range 0 25) ])
+
+let tail_case =
+  QCheck.Gen.(
+    let* samples = gen_times ~lo:0 in
+    let* resamples = gen_resamples in
+    let* upper = bool in
+    let* tail_fraction = float_range 0.01 0.99 in
+    let* exceed_p = float_range 1e-4 0.5 in
+    let* seed = int_range 0 100_000 in
+    return (samples, resamples, upper, tail_fraction, exceed_p, seed))
+
+let check_same what a b =
+  if not (same_estimate a b) then
+    QCheck.Test.fail_reportf "%s: %s <> reference %s" what (show_estimate a)
+      (show_estimate b);
+  true
+
+let prop_tail_matches_sorted_reference =
+  QCheck.Test.make ~count:500
+    ~name:"counts-based Tail.estimate = materialise-and-sort reference"
+    (QCheck.make tail_case)
+    (fun (samples, resamples, upper, tail_fraction, exceed_p, seed) ->
+       let side = if upper then Sampling.Tail.Upper else Sampling.Tail.Lower in
+       let run f =
+         f ~rng:(Prelude.Rng.make seed) ~resamples ~confidence:0.9
+           ~tail_fraction ~exceed_p side samples
+       in
+       check_same "tail" (run Sampling.Tail.estimate) (run reference_tail))
+
+let prop_pr_matches_bootstrap =
+  QCheck.Test.make ~count:300
+    ~name:"array-free Pr = Estimate.bootstrap over min/max"
+    QCheck.(
+      make
+        Gen.(triple (gen_times ~lo:1) gen_resamples (int_range 0 100_000)))
+    (fun (times, resamples, seed) ->
+       let run f = f ~rng:(Prelude.Rng.make seed) ~resamples ~confidence:0.9 in
+       check_same "pr"
+         (run Sampling.Sampler.pr_estimate times)
+         (run Sampling.Estimate.bootstrap ~stat:reference_extremes_ratio
+            times))
+
+let prop_strata_match_explicit_arrays =
+  QCheck.Test.make ~count:300
+    ~name:"array-free strata = explicit per-stratum resample arrays"
+    QCheck.(
+      make
+        Gen.(
+          triple
+            (array_size (int_range 1 6) (gen_times ~lo:1))
+            gen_resamples (int_range 0 100_000)))
+    (fun (strata, resamples, seed) ->
+       let run f =
+         f ~rng:(Prelude.Rng.make seed) ~resamples ~confidence:0.9 strata
+       in
+       check_same "strata"
+         (run Sampling.Sampler.stratified_estimate)
+         (run reference_stratified))
+
 (* --- The sampler: determinism and containment ---------------------------- *)
 
 let synthetic_time q i = 10 + (((q * 31) + (i * 17)) mod 13)
@@ -387,7 +546,7 @@ let test_quantify_sample_counts_evals () =
   Alcotest.(check int) "timer called once per eval" r.Sampling.Sampler.evals
     !calls
 
-(* --- Golden pins ----------------------------------------------------------- *)
+(* --- Golden pins --------------------------------------------------------- *)
 
 (* Exact Sampler.to_json bytes of seeded analyses. The JSON float
    rendering round-trips every double, so these pin each estimate and CI
@@ -517,6 +676,10 @@ let () =
            test_tail_constant_samples_degenerate;
          Alcotest.test_case "parameter validation" `Quick
            test_tail_validation ]);
+      ("array-free",
+       List.map QCheck_alcotest.to_alcotest
+         [ prop_tail_matches_sorted_reference; prop_pr_matches_bootstrap;
+           prop_strata_match_explicit_arrays ]);
       ("sampler",
        [ Alcotest.test_case "bit-identical across jobs" `Quick
            test_sampler_jobs_determinism;
