@@ -21,7 +21,7 @@ type side =
    u interpolates between ranks r and r' exactly as
    Prelude.Stats.quantile_sorted does, and the excess sum adds [x - u]
    once per copy in ascending order, so the result is bit-identical to
-   that estimator on the materialised, sorted sample. *)
+   the same estimator run on the materialised, sorted sample. *)
 let extrapolate ~tail_fraction ~exceed_p sorted counts =
   let n = Array.length sorted in
   let h = (1. -. tail_fraction) *. float_of_int (n - 1) in
