@@ -54,6 +54,18 @@ done
 # agree across --jobs, and the sampling microbenchmark kernels must still
 # run.
 dune exec bin/predlab.exe -- run DEF.SAMPLE --jobs 2
+# Spawn-failure gate: with every Domain.spawn failing, the callers run all
+# the work themselves, so the report must pass and match the unfaulted one
+# once the timing lines are deleted.
+dune exec bin/predlab.exe -- run DEF.SAMPLE --jobs 2 --format json \
+  --inject parallel.spawn=raise > _build/def-sample-spawnfail.json
+dune exec bin/predlab.exe -- run DEF.SAMPLE --jobs 2 --format json \
+  > _build/def-sample-plain.json
+for f in spawnfail plain; do
+  sed -E '/"(wall_s|wall_sum_s|elapsed_s)": /d' "_build/def-sample-$f.json" \
+    > "_build/def-sample-$f.notime"
+done
+cmp _build/def-sample-spawnfail.notime _build/def-sample-plain.notime
 dune exec bin/predlab.exe -- sample --check --jobs 2 clamp popcount
 # Cross-jobs gate through the CLI: over every workload, the sample
 # document at --jobs 1 and at --jobs 8 must be byte-identical once the

@@ -67,8 +67,8 @@ let elapsed f =
   (v, Prelude.Instrument.now () -. started)
 
 (* Counter deltas, not reset-then-snapshot: resetting would wipe counts a
-   pool worker domain has accumulated for other tasks and leave a residue
-   behind that Pool.drain would credit to the caller a second time. *)
+   spawned domain has accumulated for other tasks and leave a residue
+   behind that joining it would credit to the caller a second time. *)
 let timed f =
   let before = Prelude.Instrument.snapshot () in
   let started = Prelude.Instrument.now () in

@@ -6,11 +6,11 @@
     each run and attributes the {e delta} to that experiment.
 
     Counters live in domain-local storage and grow monotonically — there is
-    deliberately no reset, so a pool worker interleaving several
-    experiments' tasks never wipes or double-counts another task's
-    contribution. An experiment running on one worker domain never sees the
-    counts of an experiment running concurrently on another; on pool drain
-    each worker's total is credited once to the submitting domain, so
+    deliberately no reset, so a domain interleaving several experiments'
+    tasks never wipes or double-counts another task's contribution. An
+    experiment running on one domain never sees the counts of an experiment
+    running concurrently on another; when a parallel call joins a spawned
+    domain, that domain's total is credited once to the calling domain, so
     aggregate counts on the caller stay consistent with the per-experiment
     deltas. *)
 

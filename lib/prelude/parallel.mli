@@ -1,12 +1,15 @@
-(** A small fixed-size domain pool for data-parallel evaluation.
+(** Fork-join data parallelism over OCaml 5 domains.
 
     Every headline quantity of the paper (Pr/SIPr/IIPr, exhaustive
     BCET/WCET, the evict/fill metrics) is a min/max over an exhaustive
     [Q * I] or state-space enumeration whose elements are independent, so
     they parallelise trivially across OCaml 5 domains. This module provides
     the one primitive those hot paths share: evaluate a pure function over
-    a sequence on a fixed number of worker domains, with results delivered
-    in input order regardless of scheduling.
+    a sequence on up to [jobs] domains, with results delivered in input
+    order regardless of scheduling. A call splits the input into
+    contiguous slices; the calling domain and up to [jobs - 1] domains it
+    spawns claim slices from one atomic counter until none is left, and the
+    call joins those domains before it returns.
 
     Guarantees:
     - {b deterministic ordering}: [map ~jobs f xs] returns exactly
@@ -14,25 +17,25 @@
       never by completion order;
     - {b exception transparency}: if exactly one task raises, that
       exception (with its backtrace) is re-raised in the calling domain
-      after all workers have stopped; if several tasks fail concurrently,
-      none is silently dropped — {!Multiple_failures} carries the count
-      and the earliest-recorded exception ({!map_result} instead isolates
-      failures per task and never raises from a task);
-    - {b bounded width}: at most [jobs] domains run tasks at any time
-      (including the calling domain's contribution via [Domain.join]);
-    - {b no nested pools}: a call made from inside a pool task runs
-      sequentially on that worker domain (same deterministic result), so
-      arbitrarily nested data-parallelism never spawns more than
-      [jobs + 1] live domains — the OCaml runtime caps total domains at
-      roughly 128, which naive pool-per-worker nesting would exceed;
-    - {b graceful degradation}: if [Domain.spawn] fails partway through
-      pool creation (domain cap reached, or the ["parallel.spawn"]
-      {!Faults} site armed), the call degrades to the achieved worker
-      count — down to running inline on the calling domain — instead of
-      failing and leaking the domains already spawned.
+      after all spawned domains have been joined; if several tasks fail
+      concurrently, none is silently dropped — {!Multiple_failures}
+      carries the count and the earliest-recorded exception ({!map_result}
+      instead isolates failures per task and never raises from a task);
+    - {b bounded width}: a call runs its tasks on at most [jobs] domains,
+      the calling domain included;
+    - {b no nested parallelism}: a call made from inside a task of a
+      parallel call runs sequentially on that task's domain (same
+      deterministic result), so arbitrarily nested data-parallelism never
+      has more than [jobs] domains running tasks — the OCaml runtime caps
+      total domains at roughly 128, which spawning per nested call would
+      exceed;
+    - {b graceful degradation}: if [Domain.spawn] fails (domain cap
+      reached, or the ["parallel.spawn"] {!Faults} site armed), the
+      domains already spawned and the caller share the work — with none
+      spawned, the caller runs it all — instead of failing.
 
-    The pool is built only on [Domain], [Mutex] and [Condition] from the
-    standard library — no external dependencies. *)
+    Built only on [Domain] and [Atomic] from the standard library — no
+    external dependencies. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)
@@ -47,7 +50,7 @@ val default_jobs : unit -> int
     [recommended_jobs ()] if never set. *)
 
 exception Multiple_failures of { count : int; first : exn }
-(** Raised by {!map}/{!map_array}/{!fold} when more than one task failed:
+(** Raised by {!map}/{!map_array} when more than one task failed:
     every failure is collected (no new work starts after the first), and
     the count plus the earliest-recorded exception are surfaced — with the
     earliest failure's backtrace — instead of silently discarding all but
@@ -76,8 +79,9 @@ val with_deadline : deadline_s:float -> (unit -> 'a) -> 'a
     @raise Invalid_argument if [deadline_s <= 0]. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs = List.map f xs], computed on [min jobs (length xs)]
-    worker domains. [jobs = 1] runs sequentially in the calling domain. *)
+(** [map ~jobs f xs = List.map f xs], computed on at most
+    [min jobs (length xs)] domains, the caller included. [jobs = 1] runs
+    sequentially in the calling domain. *)
 
 val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Array analogue of {!map}; result index [i] holds [f xs.(i)]. *)
@@ -99,15 +103,7 @@ val map_result :
     submission): an overrun detected at a {!check_deadline} checkpoint or
     when the task returns yields [Error] with {!Deadline_exceeded}.
     Results are in input order for any [jobs]. Tasks pass through the
-    ["parallel.task"] {!Faults} site.
+    ["parallel.task"] {!Faults} site. Like {!map}, a sequential run checks
+    an enclosing {!with_deadline} between tasks, and raises
+    {!Deadline_exceeded} from there once it has expired.
     @raise Invalid_argument if [deadline_s <= 0]. *)
-
-val fold :
-  ?jobs:int -> ?chunk:int -> map:('a -> 'b) -> combine:('b -> 'b -> 'b) ->
-  init:'b -> 'a list -> 'b
-(** Chunked parallel map-reduce: equivalent to
-    [List.fold_left (fun acc x -> combine acc (map x)) init xs] whenever
-    [combine] is associative and [init] is a left identity for the result.
-    Items are split into chunks of [chunk] (default 16) consecutive
-    elements; chunks are mapped in parallel and partial results are
-    combined strictly in input order, so the result is deterministic. *)

@@ -1,4 +1,4 @@
-(* Tests for the parallel T_p(q,i) evaluation engine: Parallel.map/fold
+(* Tests for the parallel T_p(q,i) evaluation engine: Parallel.map
    semantics, exception propagation out of worker domains, and bit-identical
    results at any job count for the quantities built on top of it
    (Quantify, Cache_metrics, Wcet, Experiments.run_all). *)
@@ -16,18 +16,6 @@ let test_map_array_ordering () =
   let doubled = Prelude.Parallel.map_array ~jobs:4 (fun x -> 2 * x) xs in
   Alcotest.(check (array int)) "ordered results"
     (Array.map (fun x -> 2 * x) xs) doubled
-
-let test_fold_chunked () =
-  let xs = List.init 257 (fun i -> i + 1) in
-  let expected = List.fold_left (fun acc x -> acc + (x * x)) 0 xs in
-  List.iter
-    (fun (jobs, chunk) ->
-       Alcotest.(check int)
-         (Printf.sprintf "sum of squares (jobs=%d chunk=%d)" jobs chunk)
-         expected
-         (Prelude.Parallel.fold ~jobs ~chunk ~map:(fun x -> x * x)
-            ~combine:( + ) ~init:0 xs))
-    [ (1, 16); (2, 1); (4, 7); (8, 64) ]
 
 let test_exception_propagation () =
   Alcotest.check_raises "worker exception reaches the caller"
@@ -78,12 +66,43 @@ let test_nested_maps_bounded () =
   let deep =
     Prelude.Parallel.map ~jobs
       (fun i ->
-         Prelude.Parallel.fold ~jobs ~chunk:8 ~map:Fun.id ~combine:( + ) ~init:0
-           (Prelude.Parallel.map ~jobs succ (inner i)))
+         Array.fold_left ( + ) 0
+           (Prelude.Parallel.map_array ~jobs Fun.id
+              (Array.of_list (Prelude.Parallel.map ~jobs succ (inner i)))))
       (List.init 24 Fun.id)
   in
   Alcotest.(check (list int)) "triple nesting sums"
     (List.map (fun row -> List.fold_left ( + ) 0 row) expected) deep
+
+(* Width: a call runs on at most [jobs] domains, the caller included, and
+   really fans out. A second call from the same caller must fan out again
+   (the caller's own on-worker mark is restored after the first), while a
+   call nested in a task stays on that task's domain. *)
+let test_width () =
+  let self () = (Domain.self () :> int) in
+  let nap _ =
+    Prelude.Mono.sleep 0.001;
+    self ()
+  in
+  let distinct ids = List.length (List.sort_uniq compare ids) in
+  List.iter
+    (fun call ->
+       let ids = Prelude.Parallel.map ~jobs:4 nap (List.init 64 Fun.id) in
+       Alcotest.(check bool)
+         (Printf.sprintf "call %d: 2..4 domains (saw %d)" call (distinct ids))
+         true
+         (distinct ids > 1 && distinct ids <= 4))
+    [ 1; 2 ];
+  let nested =
+    Prelude.Parallel.map ~jobs:4
+      (fun _ ->
+         let outer = nap () in
+         List.for_all (( = ) outer)
+           (Prelude.Parallel.map ~jobs:4 nap (List.init 8 Fun.id)))
+      (List.init 16 Fun.id)
+  in
+  Alcotest.(check bool) "nested map runs on its task's domain" true
+    (List.for_all Fun.id nested)
 
 let test_invalid_jobs () =
   Alcotest.check_raises "jobs must be >= 1"
@@ -270,13 +289,13 @@ let () =
     [ ("engine",
        [ QCheck_alcotest.to_alcotest prop_map_matches_list_map;
          Alcotest.test_case "map_array ordering" `Quick test_map_array_ordering;
-         Alcotest.test_case "chunked fold" `Quick test_fold_chunked;
          Alcotest.test_case "exception propagation" `Quick
            test_exception_propagation;
          Alcotest.test_case "exception through Quantify pool" `Quick
            test_quantify_exception_through_pool;
          Alcotest.test_case "nested maps stay domain-bounded" `Quick
            test_nested_maps_bounded;
+         Alcotest.test_case "width bounded by jobs" `Quick test_width;
          Alcotest.test_case "invalid job counts" `Quick test_invalid_jobs ]);
       ("determinism",
        [ Alcotest.test_case "Quantify.predictability jobs 1/2/8" `Quick
